@@ -49,7 +49,6 @@ from .config import (
     ResistConfig,
     SweepConfig,
     TechnologyConfig,
-    TelemetryConfig,
     TrainingConfig,
     N10,
     N7,
@@ -110,7 +109,6 @@ __all__ = [
     "ResistConfig",
     "SweepConfig",
     "TechnologyConfig",
-    "TelemetryConfig",
     "TrainingConfig",
     "N10",
     "N7",

@@ -793,49 +793,6 @@ class IltConfig:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Observability knobs: run logging, metrics export, latency buckets.
-
-    ``log_path`` / ``metrics_path`` / ``trace_path`` / ``profile_path`` are
-    the config-level defaults for the CLI's ``--log-json`` /
-    ``--metrics-out`` / ``--trace-out`` / ``--profile-out`` flags (the flags
-    win); the bucket bounds feed every latency
-    :class:`~repro.telemetry.Histogram`.
-    """
-
-    enabled: bool = True
-    log_path: Optional[str] = None
-    metrics_path: Optional[str] = None
-    #: Chrome-trace-event JSON destination for the run's merged trace
-    trace_path: Optional[str] = None
-    #: layer-profile JSON destination (commands that run the networks)
-    profile_path: Optional[str] = None
-    #: histogram bucket upper bounds for stage/epoch latency, seconds
-    latency_buckets_s: Tuple[float, ...] = (
-        0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0,
-    )
-
-    def __post_init__(self) -> None:
-        if not self.latency_buckets_s:
-            raise ConfigError("latency_buckets_s must not be empty")
-        if any(
-            b >= a
-            for b, a in zip(self.latency_buckets_s, self.latency_buckets_s[1:])
-        ):
-            raise ConfigError(
-                "latency_buckets_s must be strictly increasing, got "
-                f"{self.latency_buckets_s}"
-            )
-        if any(b <= 0 for b in self.latency_buckets_s):
-            raise ConfigError("latency bucket bounds must be positive")
-
-
-# ---------------------------------------------------------------------------
 # Bundle
 # ---------------------------------------------------------------------------
 
@@ -850,7 +807,6 @@ class ExperimentConfig:
     image: ImageConfig = field(default_factory=ImageConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)
     server: ServerConfig = field(default_factory=ServerConfig)

@@ -14,7 +14,6 @@ from repro.config import (
     RegistryConfig,
     ResistConfig,
     TechnologyConfig,
-    TelemetryConfig,
     TrainingConfig,
     N10,
     N7,
@@ -150,32 +149,6 @@ class TestTrainingConfig:
     def test_rejects_zero_epochs(self):
         with pytest.raises(ConfigError):
             TrainingConfig(epochs=0)
-
-
-class TestTelemetryConfig:
-    def test_defaults_valid(self):
-        config = TelemetryConfig()
-        assert config.enabled
-        assert config.log_path is None and config.metrics_path is None
-        assert config.latency_buckets_s[0] > 0
-
-    def test_rejects_empty_buckets(self):
-        with pytest.raises(ConfigError):
-            TelemetryConfig(latency_buckets_s=())
-
-    def test_rejects_non_increasing_buckets(self):
-        with pytest.raises(ConfigError):
-            TelemetryConfig(latency_buckets_s=(0.1, 0.1, 1.0))
-
-    def test_rejects_non_positive_buckets(self):
-        with pytest.raises(ConfigError):
-            TelemetryConfig(latency_buckets_s=(0.0, 1.0))
-
-    def test_experiment_config_carries_telemetry(self):
-        config = reduced()
-        assert isinstance(config.telemetry, TelemetryConfig)
-        custom = config.replace(telemetry=TelemetryConfig(enabled=False))
-        assert not custom.telemetry.enabled
 
 
 class TestDataIntegrityConfig:
