@@ -811,8 +811,7 @@ def optimize_mask(config: ExperimentConfig,
                   num_clips: int = 1,
                   rng: Optional[np.random.Generator] = None,
                   compare_process_window: bool = False,
-                  tracer=None, logger=None, metrics=None,
-                  profiler=None,
+                  tracer=None, hook=None, profiler=None,
                   progress: Optional[Callable] = None) -> OptimizeResult:
     """Gradient-based inverse lithography over ``config.ilt``.
 
@@ -824,13 +823,11 @@ def optimize_mask(config: ExperimentConfig,
     itself draws no randomness, so results are bit-reproducible for a
     given model and clip set.
 
-    Telemetry: ``tracer`` records per-step ``ilt_step`` spans, ``logger``
-    (a :class:`~repro.telemetry.RunLogger`) receives ``ilt_start`` /
-    ``ilt_step`` / ``ilt_end`` events, and ``metrics`` (a
-    :class:`~repro.telemetry.MetricsRegistry`) accumulates the
-    ``ilt_steps_total`` / ``ilt_verifications_total`` counters and the
-    ``ilt_epe_nm`` gauge.  ``compare_process_window`` additionally sweeps
-    dose/defocus for the optimized vs. rule-OPC layouts (expensive).
+    Telemetry: ``tracer`` records per-step ``ilt_step`` spans, and ``hook``
+    (a :class:`~repro.telemetry.TelemetryHook`) receives the ``ilt_start``
+    / ``ilt_step`` / ``ilt_end`` events.  ``compare_process_window``
+    additionally sweeps dose/defocus for the optimized vs. rule-OPC layouts
+    (expensive).
 
     Raises :class:`~repro.errors.IltError` when any clip finishes without
     one simulator-verified candidate.
@@ -853,18 +850,12 @@ def optimize_mask(config: ExperimentConfig,
         if progress is not None:
             progress(message)
 
-    if logger is not None:
-        logger.ilt_start(clips=len(clips), steps=config.ilt.steps)
+    on_step = None
+    if hook is not None:
+        hook.emit("ilt_start", clips=len(clips), steps=config.ilt.steps)
 
-    def on_step(step: int, loss: float) -> None:
-        if metrics is not None:
-            metrics.counter("ilt_steps_total").inc()
-        if logger is not None:
-            logger.ilt_step(step=step, loss=loss)
-
-    def on_verify(verification) -> None:
-        if metrics is not None:
-            metrics.counter("ilt_verifications_total").inc()
+        def on_step(step: int, loss: float) -> None:
+            hook.emit("ilt_step", step=step, loss=loss)
 
     verifier = MaskVerifier(
         config, rigorous=config.ilt.rigorous, tracer=tracer
@@ -877,12 +868,9 @@ def optimize_mask(config: ExperimentConfig,
             with span:
                 outcome = optimize_clip(
                     config, model, clip, verifier=verifier, tracer=tracer,
-                    on_step=on_step, on_verify=on_verify,
+                    on_step=on_step,
                 )
             outcomes.append(outcome)
-            # the baselines also go through on_verify accounting
-            if metrics is not None:
-                metrics.counter("ilt_verifications_total").inc(2)
             _say(
                 f"clip {index} ({clip.array_type.value}): "
                 f"EPE {outcome.epe_ilt_nm:.2f} nm (unoptimized "
@@ -901,11 +889,9 @@ def optimize_mask(config: ExperimentConfig,
         verifications=verifier.verifications,
         process_windows=process_windows,
     )
-    if metrics is not None:
-        metrics.gauge("ilt_epe_nm").set(result.epe_ilt_nm)
-    if logger is not None:
-        logger.ilt_end(
-            verified=verifier.verifications,
+    if hook is not None:
+        hook.emit(
+            "ilt_end", verified=verifier.verifications,
             epe_ilt_nm=round(result.epe_ilt_nm, 4),
             epe_unoptimized_nm=round(result.epe_unoptimized_nm, 4),
             epe_rule_opc_nm=round(result.epe_rule_opc_nm, 4),

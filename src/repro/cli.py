@@ -146,10 +146,12 @@ class _RunTelemetry:
     """Per-invocation observability bundle behind the CLI telemetry flags.
 
     Owns the optional JSONL :class:`RunLogger` (``--log-json``), a
-    :class:`MetricsRegistry` (exported by ``--metrics-out``), and a
-    :class:`Tracer` for phase/stage spans.  ``finish()`` drains the tracer
-    into events + metrics, writes the exports, and prints the one-line run
-    summary every command ends with.
+    :class:`MetricsRegistry` (exported by ``--metrics-out``), a
+    :class:`Tracer` for phase/stage spans, and the one
+    :class:`RunLoggerHook` every event goes through (``hook``; None when
+    neither sink is active).  ``finish()`` drains the tracer into events +
+    metrics, writes the exports, and prints the one-line run summary every
+    command ends with.
     """
 
     def __init__(self, command: str, args) -> None:
@@ -163,19 +165,22 @@ class _RunTelemetry:
         self.tracer = Tracer()
         self.profiler = LayerProfiler() if self.profile_path else None
         self._start = time.perf_counter()
-        if self.logger is not None:
-            self.logger.run_start(
+        self.hook = None
+        if self.logger is not None or self.metrics_path:
+            self.hook = RunLoggerHook(logger=self.logger,
+                                      registry=self.registry)
+            self.hook.emit(
+                "run_start",
                 command=command,
                 node=getattr(args, "node", None),
                 seed=getattr(args, "seed", None),
                 build=build_fingerprint(),
             )
 
-    def hook(self):
-        """A training hook, or None when no telemetry sink is active."""
-        if self.logger is None and self.metrics_path is None:
-            return None
-        return RunLoggerHook(logger=self.logger, registry=self.registry)
+    def emit(self, event: str, **fields) -> None:
+        """Send one event through the hook; a no-op with telemetry off."""
+        if self.hook is not None:
+            self.hook.emit(event, **fields)
 
     @property
     def run_id(self):
@@ -184,12 +189,11 @@ class _RunTelemetry:
     def finish(self, status: str = "ok", **summary) -> None:
         seconds = time.perf_counter() - self._start
         self.tracer.record_into(self.registry)
+        for stage, total in sorted(self.tracer.totals().items()):
+            self.emit("stage_end", stage=stage, seconds=total,
+                      count=self.tracer.count(stage))
+        self.emit("run_end", status=status, seconds=seconds, **summary)
         if self.logger is not None:
-            for stage, total in sorted(self.tracer.totals().items()):
-                self.logger.stage_end(
-                    stage, total, count=self.tracer.count(stage)
-                )
-            self.logger.run_end(status=status, seconds=seconds, **summary)
             self.logger.close()
         if self.metrics_path:
             self.registry.gauge("run_seconds").set(seconds)
@@ -224,24 +228,17 @@ def _load_dataset_with_policy(args, telemetry):
         return load_dataset(args.dataset)
 
     def on_report(report):
-        telemetry.registry.counter(
-            "data_records_quarantined_total").inc(report.quarantined)
-        telemetry.registry.counter("data_validations_total").inc()
-        if telemetry.logger is not None:
-            telemetry.logger.data_quarantine(
-                report.quarantined, report.num_records,
-                reasons=report.counts_by_reason(),
-                manifest_missing=report.manifest_missing,
-            )
+        telemetry.emit(
+            "data_quarantine", quarantined=report.quarantined,
+            total=report.num_records, reasons=report.counts_by_reason(),
+            manifest_missing=report.manifest_missing,
+        )
 
     def on_repair(repair_report):
-        repaired = len(repair_report.repaired_indices)
-        telemetry.registry.counter(
-            "data_records_repaired_total").inc(repaired)
-        if telemetry.logger is not None:
-            telemetry.logger.data_repair(
-                repaired, indices=list(repair_report.repaired_indices),
-            )
+        telemetry.emit(
+            "data_repair", repaired=len(repair_report.repaired_indices),
+            indices=list(repair_report.repaired_indices),
+        )
 
     def progress(message, warn=False):
         print(message, file=sys.stderr if warn else sys.stdout)
@@ -270,7 +267,7 @@ def cmd_mint(args) -> int:
           f"(seed {args.seed}{worker_part}) ...")
     result = api.mint(
         config, out=args.out, tracer=telemetry.tracer,
-        faults=faults, hook=telemetry.hook(), registry=telemetry.registry,
+        faults=faults, hook=telemetry.hook, registry=telemetry.registry,
     )
     telemetry.registry.counter("clips_processed_total").inc(len(result))
     print(f"wrote {len(result)} samples to {result.path}")
@@ -344,7 +341,7 @@ def cmd_train(args) -> int:
         resume=args.resume,
         recovery=bool(args.checkpoint_dir),
         out=args.out,
-        faults=faults, hook=telemetry.hook(), tracer=telemetry.tracer,
+        faults=faults, hook=telemetry.hook, tracer=telemetry.tracer,
         profiler=telemetry.profiler,
     )
     history = result.history
@@ -368,8 +365,7 @@ def cmd_evaluate(args) -> int:
                           tracer=telemetry.tracer,
                           profiler=telemetry.profiler)
     telemetry.registry.counter("eval_samples_total").inc(result.samples)
-    if telemetry.logger is not None:
-        telemetry.logger.eval_end(**result.row)
+    telemetry.emit("eval_end", **result.row)
     if args.json:
         print(json.dumps(result.row, indent=2))
     else:
@@ -430,7 +426,7 @@ def cmd_predict(args) -> int:
         serve_kwargs["deadline_s"] = args.deadline
     report = api.serve(
         model, masks, config=config, policy=policy,
-        hook=telemetry.hook(), tracer=telemetry.tracer,
+        hook=telemetry.hook, tracer=telemetry.tracer,
         profiler=telemetry.profiler, **serve_kwargs,
     )
 
@@ -617,7 +613,7 @@ def cmd_serve(args) -> int:
     )
     server = api.serve_loop(
         model, config=config, quotas=quotas, faults=faults,
-        hook=telemetry.hook(), tracer=telemetry.tracer,
+        hook=telemetry.hook, tracer=telemetry.tracer,
         model_name=model_name, model_version=model_version,
     )
     rollback_verdicts = []
@@ -772,23 +768,17 @@ def cmd_registry(args) -> int:
         name, version = parse_model_ref(args.model)
         entry = store.promote(name, "latest" if version is None else version)
         print(f"promoted {entry.label} (now active)")
-        if telemetry.logger is not None:
-            telemetry.logger.model_swap(
-                model=name, version=str(entry.version),
-                previous="", reason="promote",
-            )
+        telemetry.emit("model_swap", model=name, version=str(entry.version),
+                       previous="", reason="promote")
         telemetry.finish(model=entry.label)
         return 0
 
     if args.action == "rollback":
         from_version, to_version = store.rollback(args.name)
         print(f"rolled back {args.name}: @{from_version} -> @{to_version}")
-        if telemetry.logger is not None:
-            telemetry.logger.rollback(
-                phase="registry", model=args.name,
-                from_version=from_version, to_version=to_version,
-                reason="operator",
-            )
+        telemetry.emit("rollback", phase="registry", model=args.name,
+                       from_version=from_version, to_version=to_version,
+                       reason="operator")
         telemetry.finish(model=f"{args.name}@{to_version}")
         return 0
 
@@ -970,7 +960,7 @@ def cmd_sweep(args) -> int:
             _sweep_base_config(args), grid,
             sweep_dir=sweep_dir, resume=True, metric=args.metric,
             publish_best=args.publish_best, registry=args.registry,
-            hook=telemetry.hook(), progress=print,
+            hook=telemetry.hook, progress=print,
             spec_payload=saved,
         )
         return _finish_sweep_run(args, telemetry, result)
@@ -1001,7 +991,7 @@ def cmd_sweep(args) -> int:
         config, grid, sweep_dir=sweep_dir, resume=args.resume,
         metric=args.metric, publish_best=args.publish_best,
         registry=args.registry, faults_for=_sweep_faults_for(args),
-        hook=telemetry.hook(), progress=print, spec_payload=spec_payload,
+        hook=telemetry.hook, progress=print, spec_payload=spec_payload,
     )
     return _finish_sweep_run(args, telemetry, result)
 
@@ -1057,8 +1047,8 @@ def cmd_optimize(args) -> int:
     result = api.optimize_mask(
         config, model, num_clips=args.clips,
         compare_process_window=args.process_window,
-        tracer=telemetry.tracer, logger=telemetry.logger,
-        metrics=telemetry.registry, profiler=telemetry.profiler,
+        tracer=telemetry.tracer, hook=telemetry.hook,
+        profiler=telemetry.profiler,
         progress=lambda message: print(f"  {message}"),
     )
     print(f"mean EPE: ILT {result.epe_ilt_nm:.2f} nm | unoptimized "

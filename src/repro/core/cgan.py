@@ -320,9 +320,9 @@ class CganModel:
                         loss=history.l1_loss[-1],
                     )
                     if hook is not None:
-                        hook.on_checkpoint(
-                            CGAN_PHASE, epoch, str(path),
-                            loss=history.l1_loss[-1],
+                        hook.emit(
+                            "checkpoint", phase=CGAN_PHASE, epoch=epoch,
+                            path=str(path), loss=history.l1_loss[-1],
                         )
             epoch += 1
         return history

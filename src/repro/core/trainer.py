@@ -198,8 +198,9 @@ def fit_regression(net: Sequential, inputs: np.ndarray, targets: np.ndarray,
                     loss=history.loss[-1],
                 )
                 if hook is not None:
-                    hook.on_checkpoint(
-                        phase, epoch, str(path), loss=history.loss[-1]
+                    hook.emit(
+                        "checkpoint", phase=phase, epoch=epoch,
+                        path=str(path), loss=history.loss[-1],
                     )
         epoch += 1
     return history

@@ -185,7 +185,6 @@ def optimize_clip(
     verifier: Optional[MaskVerifier] = None,
     tracer=None,
     on_step: Optional[Callable[[int, float], None]] = None,
-    on_verify: Optional[Callable[[Verification], None]] = None,
 ) -> IltOutcome:
     """Optimize one clip's target-channel mask against the proxy + verifier.
 
@@ -227,10 +226,7 @@ def optimize_clip(
 
     def verify_candidate(step: int, steepness: float) -> Verification:
         candidate = compose(sigmoid(steepness * theta))
-        verification = verifier.verify(candidate, clip, step=step)
-        if on_verify is not None:
-            on_verify(verification)
-        return verification
+        return verifier.verify(candidate, clip, step=step)
 
     losses: List[float] = []
     candidates: List[Verification] = [verify_candidate(0, steep0)]

@@ -26,7 +26,7 @@ supplies the execution half of that bargain:
 
 Telemetry is threaded through: each shard lands a ``parallel_shard`` tracer
 record and a ``parallel_tasks_total`` counter increment; failures increment
-``parallel_worker_failures_total``, emit an ``on_worker_crash`` hook call,
+``parallel_worker_failures_total`` through a ``worker_crash`` hook event,
 and (in drills) originate from :meth:`FaultPlan.inject_worker_crash`.
 
 **Trace propagation** (the observability plane): when the pool carries a
@@ -60,6 +60,7 @@ import numpy as np
 
 from ..config import PARALLEL_BACKENDS, ParallelConfig
 from ..errors import ConfigError, ParallelError, ReproError
+from ..telemetry.hooks import RunLoggerHook
 from ..telemetry.metrics import MetricsRegistry, activate_registry
 from ..telemetry.trace import Tracer, activate_tracer
 
@@ -211,6 +212,10 @@ class WorkerPool:
         self.chunk_size = chunk_size
         self.timeout_s = float(timeout_s)
         self.tracer = tracer
+        # Without a hook, failures still reach the registry, through the
+        # same bridge that counts them when a hook is attached.
+        if hook is None and registry is not None:
+            hook = RunLoggerHook(registry=registry)
         self.hook = hook
         self.registry = registry
         self.faults = faults
@@ -308,14 +313,8 @@ class WorkerPool:
 
     def _record_failure(self, task: str, shard: int, detail: str) -> None:
         if self.hook is not None:
-            # RunLoggerHook increments parallel_worker_failures_total itself,
-            # so when a hook is attached the registry is reached through it
-            # (counting directly too would double-count shared registries).
-            self.hook.on_worker_crash(shard, task=task, detail=detail)
-        elif self.registry is not None:
-            self.registry.counter(
-                "parallel_worker_failures_total", labels={"task": task}
-            ).inc()
+            self.hook.emit("worker_crash", shard=shard, task=task,
+                           detail=detail)
 
     def _failure(self, task: str, shard: int, detail: str,
                  kind: str = "error") -> ParallelError:

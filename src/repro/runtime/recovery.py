@@ -7,7 +7,7 @@ batch) long after hours of progress.  Instead of dying with a terminal
 good snapshot, shrinks the learning rate, and retries — up to a bounded
 number of consecutive failures, after which the original error is
 re-raised with context.  Every rollback is surfaced through the telemetry
-hook (``on_rollback``) so run logs record exactly what happened.
+hook (a ``rollback`` event) so run logs record exactly what happened.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ class RecoveryPolicy:
         """Record the rollback and emit it through the telemetry hook."""
         self.total_rollbacks += 1
         if hook is not None:
-            hook.on_rollback(
+            hook.emit(
+                "rollback",
                 phase=phase,
                 epoch=restored_epoch,
                 failed_epoch=failed_epoch,

@@ -255,7 +255,9 @@ class InferenceServer:
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._queue = BoundedWorkQueue(
-            self.server_config.queue_capacity, on_full=self.hook.on_queue_full,
+            self.server_config.queue_capacity,
+            on_full=lambda depth, capacity: self.hook.emit(
+                "queue_full", depth=depth, capacity=capacity),
         )
         self._inflight: List[ServeRequest] = []
         self._state = STATE_NEW
@@ -361,9 +363,10 @@ class InferenceServer:
             self._swaps += 1
             self._clear_candidate_locked()
             label = self.model_label
-            self.hook.on_model_swap(
-                name, str(version) if version is not None else label,
-                previous, reason,
+            self.hook.emit(
+                "model_swap", model=name,
+                version=str(version) if version is not None else label,
+                previous=previous, reason=reason,
             )
         return label
 
@@ -414,9 +417,10 @@ class InferenceServer:
             self._rollout = controller
             self._on_rollback = on_rollback
             label = self.candidate_label
-            self.hook.on_model_swap(
-                name, str(version) if version is not None else label,
-                self.model_label, mode,
+            self.hook.emit(
+                "model_swap", model=name,
+                version=str(version) if version is not None else label,
+                previous=self.model_label, reason=mode,
             )
         return label
 
@@ -447,15 +451,16 @@ class InferenceServer:
             version = self._model_version
             self._clear_candidate_locked()
             label = self.model_label
-            self.hook.on_canary_verdict(
-                name, "promote",
-                rates[SLOT_CANDIDATE]["bad_rate"],
-                rates[SLOT_INCUMBENT]["bad_rate"],
-                rates[SLOT_CANDIDATE]["samples"],
+            self.hook.emit(
+                "canary_verdict", model=name, verdict="promote",
+                candidate_rate=rates[SLOT_CANDIDATE]["bad_rate"],
+                incumbent_rate=rates[SLOT_INCUMBENT]["bad_rate"],
+                samples=rates[SLOT_CANDIDATE]["samples"],
             )
-            self.hook.on_model_swap(
-                name, str(version) if version is not None else label,
-                previous, reason,
+            self.hook.emit(
+                "model_swap", model=name,
+                version=str(version) if version is not None else label,
+                previous=previous, reason=reason,
             )
         return label
 
@@ -478,13 +483,18 @@ class InferenceServer:
         callback = self._on_rollback
         self._clear_candidate_locked()
         self._rollbacks += 1
-        self.hook.on_canary_verdict(
-            name, "rollback", verdict.candidate_rate,
-            verdict.incumbent_rate, verdict.candidate_samples,
+        self.hook.emit(
+            "canary_verdict", model=name, verdict="rollback",
+            candidate_rate=verdict.candidate_rate,
+            incumbent_rate=verdict.incumbent_rate,
+            samples=verdict.candidate_samples,
         )
-        self.hook.on_serve_rollback(
-            name, from_label, self.model_label,
-            verdict.candidate_rate, verdict.incumbent_rate,
+        self.hook.emit(
+            "rollback", phase="serving", model=name,
+            from_version=from_label, to_version=self.model_label,
+            candidate_rate=verdict.candidate_rate,
+            incumbent_rate=verdict.incumbent_rate,
+            reason="canary_regression",
         )
         if callback is None:
             return None
@@ -556,7 +566,7 @@ class InferenceServer:
                 return future
             self._queue.push(request)
             self.tenancy.note_enqueued(tenant)
-            self.hook.on_queue_depth(self._queue.depth())
+            self.hook.emit("queue_depth", depth=self._queue.depth())
             self._work.notify_all()
         return future
 
@@ -599,7 +609,8 @@ class InferenceServer:
             error = OverloadError(detail, clip=request.request, reason=reason)
         if request.future.set_error(error):
             self.tenancy.note_shed(request.tenant)
-            self.hook.on_shed(request.request, request.tenant, reason)
+            self.hook.emit("shed", request=request.request,
+                           tenant=request.tenant, reason=reason)
 
     # -- the batcher -----------------------------------------------------------
 
@@ -648,7 +659,7 @@ class InferenceServer:
             for request in requests:
                 self.tenancy.note_dequeued(request.tenant)
             self._inflight = list(requests)
-            self.hook.on_queue_depth(self._queue.depth())
+            self.hook.emit("queue_depth", depth=self._queue.depth())
             return requests, self.clock() - opened
 
     def _interruptible_sleep(self, seconds: float) -> None:
@@ -834,7 +845,7 @@ class InferenceServer:
                     f"executor made no progress for "
                     f"{self.server_config.watchdog_s}s",
                 )
-            self.hook.on_queue_depth(self._queue.depth())
+            self.hook.emit("queue_depth", depth=self._queue.depth())
             self._interrupt.set()
             self._work.notify_all()
 
@@ -857,7 +868,7 @@ class InferenceServer:
                     self._shed_locked(
                         request, SHED_SHUTDOWN, "server closed without drain"
                     )
-                self.hook.on_queue_depth(self._queue.depth())
+                self.hook.emit("queue_depth", depth=self._queue.depth())
             self._work.notify_all()
         if started and self._batcher is not None:
             self._batcher.join(timeout=self.server_config.drain_timeout_s)
@@ -875,7 +886,7 @@ class InferenceServer:
                     request, SHED_SHUTDOWN,
                     "drain timeout expired before the request was served",
                 )
-            self.hook.on_queue_depth(self._queue.depth())
+            self.hook.emit("queue_depth", depth=self._queue.depth())
             self._work.notify_all()
         if started and self._batcher is not None:
             self._batcher.join(timeout=1.0)

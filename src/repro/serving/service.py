@@ -33,7 +33,6 @@ serving simulator-only until a half-open probe proves it healthy again.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -161,7 +160,8 @@ class InferenceService:
     ``predict_raw(masks) -> (mono, centers)`` serves — the real
     :class:`~repro.core.lithogan.LithoGan`, or a fake in drills.  The
     physics fallback simulator is built lazily on first use (compact mode,
-    cached kernels), so model-only batches never pay for it.
+    cached kernels), so serial model-only batches never pay for it; the
+    threaded ladder builds it once, up front, and its threads share it.
     """
 
     def __init__(self, model, config: ExperimentConfig,
@@ -178,11 +178,11 @@ class InferenceService:
         self.breaker = CircuitBreaker(
             threshold=self.serving.breaker_threshold,
             probe_after=self.serving.breaker_probe_after,
-            on_transition=self.hook.on_breaker,
+            on_transition=lambda source, target, reason: self.hook.emit(
+                "breaker", from_state=source, to_state=target, reason=reason),
             clock=clock,
         )
         self._simulator = simulator
-        self._thread_sims = threading.local()
 
     # -- fallback --------------------------------------------------------------
 
@@ -194,32 +194,10 @@ class InferenceService:
             self._simulator = LithographySimulator(self.config)
         return self._simulator
 
-    def _thread_simulator(self):
-        """A per-thread fallback simulator for parallel clip evaluation.
-
-        The shared simulator's internal stage tracer keeps a span *stack*,
-        which is not safe to interleave across threads; each evaluation
-        thread therefore gets its own compact simulator (the expensive
-        kernel decomposition is shared through the imager caches).  An
-        explicitly injected simulator (tests, drills) is trusted and shared.
-        """
-        if self._simulator is not None:
-            return self._simulator
-        sim = getattr(self._thread_sims, "sim", None)
-        if sim is None:
-            from ..sim.pipeline import LithographySimulator
-
-            sim = LithographySimulator(self.config)
-            self._thread_sims.sim = sim
-        return sim
-
-    def _simulate_fallback(self, mask: np.ndarray,
-                           simulator=None) -> Optional[np.ndarray]:
+    def _simulate_fallback(self, mask: np.ndarray) -> Optional[np.ndarray]:
         """Golden window from the physics pipeline, or None if it fails too."""
-        if simulator is None:
-            simulator = self.simulator
         try:
-            return simulator.simulate_mask_image(mask)
+            return self.simulator.simulate_mask_image(mask)
         except ReproError:
             return None
 
@@ -239,8 +217,7 @@ class InferenceService:
 
     def _evaluate_model_clip(self, clip: int, mask: np.ndarray,
                              mono: np.ndarray, center: np.ndarray,
-                             deadline: Deadline,
-                             simulator=None
+                             deadline: Deadline
                              ) -> Tuple[ServedClip, Optional[bool], str]:
         """The recovery ladder as a *pure* evaluation.
 
@@ -293,7 +270,7 @@ class InferenceService:
             ), False, ""
         if self.serving.fallback_enabled:
             attempts.append("fallback_sim")
-            window = self._simulate_fallback(mask, simulator=simulator)
+            window = self._simulate_fallback(mask)
             if window is not None:
                 report = self.guard.check(window)
                 return ServedClip(
@@ -322,12 +299,11 @@ class InferenceService:
                                   use_breaker=use_breaker)
         return result
 
-    def _evaluate_breaker_clip(self, clip: int, mask: np.ndarray,
-                               simulator=None
+    def _evaluate_breaker_clip(self, clip: int, mask: np.ndarray
                                ) -> Tuple[ServedClip, Optional[bool], str]:
         """Breaker open: simulator-only, the model is not invoked (pure)."""
         attempts = ("breaker", "fallback_sim")
-        window = self._simulate_fallback(mask, simulator=simulator)
+        window = self._simulate_fallback(mask)
         if window is not None:
             report = self.guard.check(window)
             return ServedClip(
@@ -363,7 +339,7 @@ class InferenceService:
             else:
                 self.breaker.record_failure()
         if cause:
-            self.hook.on_fallback(clip, cause)
+            self.hook.emit("fallback", clip=clip, cause=cause)
 
     # -- the batch loop --------------------------------------------------------
 
@@ -374,12 +350,9 @@ class InferenceService:
         if kind == "model":
             result, guard_ok, cause = self._evaluate_model_clip(
                 clip, mask, out, center, deadline,
-                simulator=self._thread_simulator(),
             )
         else:
-            result, guard_ok, cause = self._evaluate_breaker_clip(
-                clip, mask, simulator=self._thread_simulator(),
-            )
+            result, guard_ok, cause = self._evaluate_breaker_clip(clip, mask)
         return result, guard_ok, cause, time.perf_counter() - start
 
     def serve_batch(self,
@@ -413,8 +386,9 @@ class InferenceService:
         admitted: AdmittedBatch = admit_masks(
             masks, self.config, capacity=self.serving.queue_capacity
         )
-        self.hook.on_admission(
-            admitted.admitted, admitted.rejected, sanitized=admitted.sanitized
+        self.hook.emit(
+            "admission", admitted=admitted.admitted,
+            rejected=admitted.rejected, sanitized=admitted.sanitized,
         )
 
         eval_pool: Optional[WorkerPool] = None
@@ -527,6 +501,9 @@ class InferenceService:
                 payloads.append(
                     ("breaker", clip, batch_masks[i], None, None)
                 )
+        # Build the fallback simulator here, once, so the evaluation
+        # threads share it instead of racing to construct it.
+        self.simulator  # noqa: B018 — the property builds it on first use
         evaluated = pool.map(
             lambda payload: self._evaluate_payload(payload, deadline),
             payloads, task="serve_eval",
@@ -558,8 +535,9 @@ class InferenceService:
             "serve_clip", seconds, clip=result.clip,
             provenance=result.provenance, verdict=result.verdict,
         )
-        self.hook.on_clip_served(
-            result.clip, result.provenance, result.verdict, seconds
+        self.hook.emit(
+            "clip_served", clip=result.clip, provenance=result.provenance,
+            verdict=result.verdict, seconds=seconds,
         )
         return result
 

@@ -197,7 +197,7 @@ class SweepSupervisor:
     fault plan one attempt runs under (drills only).  ``sleep`` and
     ``clock`` are injectable so retry backoff and durations are testable
     without wall-clock waits; ``progress(message)`` receives the CLI's
-    narration; ``hook`` gets the ``on_trial_*`` telemetry callbacks.
+    narration; ``hook`` gets the ``trial_*`` telemetry events.
     """
 
     def __init__(self, spec: SweepSpec, sweep_dir: Union[str, Path], *,
@@ -299,7 +299,8 @@ class SweepSupervisor:
                 attempt=attempt,
             )
             if self.hook is not None:
-                self.hook.on_trial_start(trial.digest, trial.name, attempt)
+                self.hook.emit("trial_start", digest=trial.digest,
+                               attempt=attempt, trial=trial.name)
             try:
                 outcome = self._execute(trial, attempt)
             except KeyboardInterrupt:
@@ -310,9 +311,11 @@ class SweepSupervisor:
                     reason="interrupted", seconds=seconds,
                 )
                 if self.hook is not None:
-                    self.hook.on_trial_end(
-                        trial.digest, trial.name, "interrupted", attempt,
-                        reason="interrupted", seconds=seconds,
+                    self.hook.emit(
+                        "trial_end", digest=trial.digest,
+                        status="interrupted", trial=trial.name,
+                        attempts=attempt, reason="interrupted",
+                        seconds=seconds,
                     )
                 raise
             except Exception as exc:  # noqa: BLE001 — classified below
@@ -325,9 +328,10 @@ class SweepSupervisor:
                         seconds=seconds,
                     )
                     if self.hook is not None:
-                        self.hook.on_trial_end(
-                            trial.digest, trial.name, "failed", attempt,
-                            reason=reason, seconds=seconds,
+                        self.hook.emit(
+                            "trial_end", digest=trial.digest,
+                            status="failed", trial=trial.name,
+                            attempts=attempt, reason=reason, seconds=seconds,
                         )
                     self._say(
                         f"{trial.name}: FAILED ({reason}) after "
@@ -345,8 +349,9 @@ class SweepSupervisor:
                     reason=reason, delay_s=delay,
                 )
                 if self.hook is not None:
-                    self.hook.on_trial_retry(
-                        trial.digest, trial.name, attempt, reason, delay,
+                    self.hook.emit(
+                        "trial_retry", digest=trial.digest, attempt=attempt,
+                        reason=reason, trial=trial.name, delay_s=delay,
                     )
                 self._say(
                     f"{trial.name}: attempt {attempt} failed ({reason}); "
@@ -363,8 +368,9 @@ class SweepSupervisor:
                 weights=weights,
             )
             if self.hook is not None:
-                self.hook.on_trial_end(
-                    trial.digest, trial.name, "completed", attempt,
+                self.hook.emit(
+                    "trial_end", digest=trial.digest, status="completed",
+                    trial=trial.name, attempts=attempt, reason="",
                     seconds=seconds,
                 )
             self._say(

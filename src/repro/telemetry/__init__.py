@@ -12,9 +12,11 @@ future performance claim.  The pieces:
     stable trace/span/parent IDs that survive worker-pool fan-out; backs
     the re-exported :class:`~repro.sim.runtime.StageTimer`.
 ``repro.telemetry.events``
-    Schema-versioned JSONL :class:`RunLogger` (crash-tolerant, incremental).
+    The event table :data:`EVENTS` (each event defined once) and the
+    schema-versioned JSONL :class:`RunLogger` (crash-tolerant, incremental).
 ``repro.telemetry.hooks``
-    The :class:`TelemetryHook` callback protocol threaded through training.
+    :class:`TelemetryHook` and its one ``emit``, and the
+    :class:`RunLoggerHook` bridge into a run log and a metrics registry.
 ``repro.telemetry.export``
     Chrome-trace-event JSON for merged traces; Prometheus text and JSON
     snapshots for aggregated metrics.
@@ -53,6 +55,7 @@ from .events import (
     BREAKER_TRANSITIONS,
     CANARY_VERDICTS,
     EVENT_TYPES,
+    EVENTS,
     SCHEMA_VERSION,
     TRIAL_STATUSES,
     RunLogger,
@@ -61,7 +64,7 @@ from .events import (
     split_runs,
     validate_run_log,
 )
-from .hooks import NULL_HOOK, CompositeHook, RunLoggerHook, TelemetryHook
+from .hooks import NULL_HOOK, RunLoggerHook, TelemetryHook
 from .buildinfo import build_fingerprint
 from .export import (
     to_chrome_trace,
@@ -94,6 +97,7 @@ __all__ = [
     "BREAKER_TRANSITIONS",
     "CANARY_VERDICTS",
     "EVENT_TYPES",
+    "EVENTS",
     "SCHEMA_VERSION",
     "TRIAL_STATUSES",
     "RunLogger",
@@ -102,7 +106,6 @@ __all__ = [
     "split_runs",
     "validate_run_log",
     "NULL_HOOK",
-    "CompositeHook",
     "RunLoggerHook",
     "TelemetryHook",
     "build_fingerprint",

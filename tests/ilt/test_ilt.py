@@ -184,7 +184,7 @@ class TestOptimizeMaskFacade:
     def test_result_summary_and_telemetry(self, ilt_config, trained, clip,
                                           tmp_path):
         from repro import api
-        from repro.telemetry import MetricsRegistry, Tracer
+        from repro.telemetry import MetricsRegistry, RunLoggerHook, Tracer
         from repro.telemetry.events import (
             RunLogger,
             read_run_log,
@@ -197,10 +197,10 @@ class TestOptimizeMaskFacade:
         with RunLogger(log_path) as logger:
             logger.emit("run_start", command="optimize", build={})
             result = api.optimize_mask(
-                ilt_config, trained, clips=[clip],
-                tracer=tracer, logger=logger, metrics=metrics,
+                ilt_config, trained, clips=[clip], tracer=tracer,
+                hook=RunLoggerHook(logger=logger, registry=metrics),
             )
-            logger.run_end(status="ok", seconds=0.0)
+            logger.emit("run_end", status="ok", seconds=0.0)
 
         assert result.clips == 1
         assert result.epe_ilt_nm <= result.epe_rule_opc_nm
@@ -221,5 +221,7 @@ class TestOptimizeMaskFacade:
         snapshot = metrics.snapshot()
         assert "ilt_steps_total" in snapshot
         assert "ilt_verifications_total" in snapshot
+        assert metrics.counter(
+            "ilt_verifications_total").value == result.verifications
         assert tracer.count("ilt_clip") == 1
         assert tracer.count("ilt_step") == ilt_config.ilt.steps

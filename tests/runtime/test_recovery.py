@@ -83,8 +83,8 @@ class TestRecoveryPolicy:
         calls = []
 
         class Recorder(TelemetryHook):
-            def on_rollback(self, **kwargs):
-                calls.append(kwargs)
+            def emit(self, event, **fields):
+                calls.append((event, fields))
 
         policy = RecoveryPolicy()
         policy.register_failure(TrainingError("boom"))
@@ -97,10 +97,10 @@ class TestRecoveryPolicy:
             learning_rate=1e-4, reason="boom",
         )
         assert policy.total_rollbacks == 2
-        assert calls == [{
+        assert calls == [("rollback", {
             "phase": "cgan", "epoch": 3, "failed_epoch": 4,
             "retries": 1, "learning_rate": 1e-4, "reason": "boom",
-        }]
+        })]
 
 
 class TestTelemetryIntegration:
@@ -111,13 +111,14 @@ class TestTelemetryIntegration:
         log_path = tmp_path / "run.jsonl"
         with RunLogger(log_path) as logger:
             hook = RunLoggerHook(logger=logger, registry=registry)
-            logger.run_start(command="test")
+            hook.emit("run_start", command="test")
             hook.on_epoch_end(1, 0.1, 0.2, 0.3, 0.01)
-            hook.on_checkpoint("cgan", 1, "ckpt-000001.npz", loss=0.3)
-            hook.on_rollback("cgan", 1, failed_epoch=2, retries=1,
-                             learning_rate=1e-4, reason="nan")
+            hook.emit("checkpoint", phase="cgan", epoch=1,
+                      path="ckpt-000001.npz", loss=0.3)
+            hook.emit("rollback", phase="cgan", epoch=1, failed_epoch=2,
+                      retries=1, learning_rate=1e-4, reason="nan")
             hook.on_epoch_end(2, 0.1, 0.2, 0.3, 0.01)
-            logger.run_end(status="ok")
+            hook.emit("run_end", status="ok")
         events = read_run_log(log_path)
         validate_run_log(events)
         kinds = [event["event"] for event in events]
@@ -141,12 +142,13 @@ class TestTelemetryIntegration:
 
         log_path = tmp_path / "run.jsonl"
         with RunLogger(log_path) as logger:
-            logger.run_start(command="test")
-            logger.epoch_end(1, seconds=0.1, phase="cgan")
-            logger.epoch_end(2, seconds=0.1, phase="cgan")
-            logger.rollback(phase="cgan", epoch=1, failed_epoch=3)
-            logger.epoch_end(2, seconds=0.1, phase="cgan")  # replayed epoch
-            logger.run_end(status="ok")
+            logger.emit("run_start", command="test")
+            logger.emit("epoch_end", epoch=1, seconds=0.1, phase="cgan")
+            logger.emit("epoch_end", epoch=2, seconds=0.1, phase="cgan")
+            logger.emit("rollback", phase="cgan", epoch=1, failed_epoch=3)
+            # replayed epoch
+            logger.emit("epoch_end", epoch=2, seconds=0.1, phase="cgan")
+            logger.emit("run_end", status="ok")
         validate_run_log(read_run_log(log_path))
 
     def test_validator_still_rejects_rewind_without_rollback(self, tmp_path):
@@ -155,9 +157,9 @@ class TestTelemetryIntegration:
 
         log_path = tmp_path / "run.jsonl"
         with RunLogger(log_path) as logger:
-            logger.run_start(command="test")
-            logger.epoch_end(2, seconds=0.1, phase="cgan")
-            logger.epoch_end(1, seconds=0.1, phase="cgan")
-            logger.run_end(status="ok")
+            logger.emit("run_start", command="test")
+            logger.emit("epoch_end", epoch=2, seconds=0.1, phase="cgan")
+            logger.emit("epoch_end", epoch=1, seconds=0.1, phase="cgan")
+            logger.emit("run_end", status="ok")
         with pytest.raises(TelemetryError, match="does not increase"):
             validate_run_log(read_run_log(log_path))

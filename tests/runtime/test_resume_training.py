@@ -29,11 +29,11 @@ class RecordingHook(TelemetryHook):
     def on_epoch_end(self, epoch, d_loss, g_loss, l1, seconds):
         self.epochs.append(epoch)
 
-    def on_checkpoint(self, phase, epoch, path, loss=None):
-        self.checkpoints.append((phase, epoch))
-
-    def on_rollback(self, **kwargs):
-        self.rollbacks.append(kwargs)
+    def emit(self, event, **fields):
+        if event == "checkpoint":
+            self.checkpoints.append((fields["phase"], fields["epoch"]))
+        elif event == "rollback":
+            self.rollbacks.append(fields)
 
 
 @pytest.fixture(scope="module")

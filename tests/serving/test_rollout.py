@@ -274,7 +274,7 @@ class TestAutoRollback:
         )
         log_path = tmp_path / "serve.jsonl"
         logger = RunLogger(log_path)
-        logger.run_start(command="test-rollout")
+        logger.emit("run_start", command="test-rollout")
         hook = RunLoggerHook(logger=logger, registry=MetricsRegistry())
         server = InferenceServer(
             golden_model, config, hook=hook,
@@ -294,7 +294,7 @@ class TestAutoRollback:
                 futures.append(server.submit(mask))
                 index += 1
         server.close(drain=True)
-        logger.run_end(status="ok", seconds=0.0)
+        logger.emit("run_end", status="ok", seconds=0.0)
         logger.close()
         assert rollbacks
 

@@ -300,7 +300,7 @@ class TestTelemetry:
         registry = MetricsRegistry()
         log_path = tmp_path / "serve.jsonl"
         with RunLogger(log_path) as logger:
-            logger.run_start(command="server-drill")
+            logger.emit("run_start", command="server-drill")
             hook = RunLoggerHook(logger=logger, registry=registry)
             server = InferenceServer(golden_model, config, hook=hook)
             futures = [
@@ -308,7 +308,7 @@ class TestTelemetry:
                 for mask in tiny_dataset.masks[:3]
             ]
             server.close(drain=False)
-            logger.run_end(status="ok")
+            logger.emit("run_end", status="ok")
 
         assert all(f.done() for f in futures)
         events = read_run_log(log_path)

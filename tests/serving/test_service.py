@@ -6,6 +6,8 @@ All drills run against the :class:`GoldenModel` playback stand-in (see
 exact-count assertions below deterministic.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from repro.telemetry import (
     MetricsRegistry,
     RunLogger,
     RunLoggerHook,
+    TelemetryHook,
     Tracer,
     read_run_log,
     validate_run_log,
@@ -237,6 +240,48 @@ class TestDegradedModes:
         assert sorted(c.clip for c in report.served) == [0, 1, 3, 5]
 
 
+class _RecordingHook(TelemetryHook):
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event, **fields):
+        self.events.append((event, fields))
+
+
+class TestParallelEvaluation:
+    def test_worker_threads_serve_exactly_what_one_thread_serves(
+            self, golden_model, tiny_dataset, tiny_config):
+        """``workers > 1`` evaluates each micro-batch's ladders on threads
+        that share one fallback simulator; clips, breaker edges and hook
+        events must match the serial run exactly."""
+        runs = {}
+        for workers in (1, 4):
+            config = dataclasses.replace(
+                tiny_config, parallel=dataclasses.replace(
+                    tiny_config.parallel, workers=workers))
+            plan = FaultPlan(seed=0)
+            for clip in (1, 2, 3, 4, 7):
+                plan.inject_degenerate(clip)
+            hook = _RecordingHook()
+            service = InferenceService(golden_model, config, hook=hook)
+            report = service.serve_batch(tiny_dataset.masks, faults=plan)
+            served = [(c.clip, c.provenance, c.attempts, c.resist.tobytes())
+                      for c in report.served]
+            edges = [edge[:2] for edge in report.breaker_transitions]
+            # per-clip latencies are wall-clock, everything else must match
+            events = [(event, {k: v for k, v in fields.items()
+                               if k != "seconds"})
+                      for event, fields in hook.events]
+            runs[workers] = served, edges, events
+
+        served, edges, events = runs[1]
+        assert len(served) == len(tiny_dataset)
+        provenances = {provenance for _, provenance, _, _ in served}
+        assert provenances == {PROVENANCE_MODEL, PROVENANCE_FALLBACK}
+        assert edges == [(BREAKER_CLOSED, BREAKER_OPEN)]
+        assert runs[4] == runs[1]
+
+
 class _ClockAdvancingModel:
     """Wraps a model so every forward pass steps the fake clock.
 
@@ -315,13 +360,13 @@ class TestTelemetryIntegration:
         registry = MetricsRegistry()
         tracer = Tracer()
         with RunLogger(log_path) as logger:
-            logger.run_start(command="serve-drill")
+            logger.emit("run_start", command="serve-drill")
             hook = RunLoggerHook(logger=logger, registry=registry)
             service = InferenceService(
                 golden_model, config, hook=hook, tracer=tracer,
             )
             report = service.serve_batch(tiny_dataset.masks, faults=plan)
-            logger.run_end(status="ok")
+            logger.emit("run_end", status="ok")
 
         events = read_run_log(log_path)
         validate_run_log(events)  # admission/fallback/breaker all well-formed

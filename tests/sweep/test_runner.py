@@ -202,16 +202,15 @@ class TestHooks:
         calls = []
 
         class Recorder(TelemetryHook):
-            def on_trial_start(self, digest, trial, attempt):
-                calls.append(("start", attempt))
-
-            def on_trial_retry(self, digest, trial, attempt, reason,
-                               delay_s):
-                calls.append(("retry", attempt, reason))
-
-            def on_trial_end(self, digest, trial, status, attempts,
-                             reason="", seconds=0.0):
-                calls.append(("end", status, attempts))
+            def emit(self, event, **fields):
+                if event == "trial_start":
+                    calls.append(("start", fields["attempt"]))
+                elif event == "trial_retry":
+                    calls.append(("retry", fields["attempt"],
+                                  fields["reason"]))
+                elif event == "trial_end":
+                    calls.append(("end", fields["status"],
+                                  fields["attempts"]))
 
         flaky = {"failed": False}
 

@@ -1,8 +1,8 @@
-"""Hook protocol: null-object default, composition, logger/registry bridge."""
+"""Hook protocol: null-object default, training callbacks, the bridge."""
 
 from repro.telemetry import (
+    EVENTS,
     NULL_HOOK,
-    CompositeHook,
     MetricsRegistry,
     RunLogger,
     RunLoggerHook,
@@ -13,45 +13,31 @@ from repro.telemetry import (
 
 class RecordingHook(TelemetryHook):
     def __init__(self):
-        self.calls = []
+        self.events = []
 
-    def on_run_start(self, **fields):
-        self.calls.append(("run_start", fields))
-
-    def on_epoch_end(self, epoch, d_loss, g_loss, l1, seconds):
-        self.calls.append(("epoch_end", epoch))
-
-    def on_aux_epoch_end(self, epoch, loss, seconds, phase="regression"):
-        self.calls.append(("aux_epoch_end", epoch, phase))
-
-    def on_run_end(self, status="ok", **fields):
-        self.calls.append(("run_end", status))
+    def emit(self, event, **fields):
+        self.events.append((event, fields))
 
 
 class TestNullHook:
     def test_every_callback_is_a_noop(self):
-        NULL_HOOK.on_run_start(command="x")
+        for event in EVENTS:
+            NULL_HOOK.emit(event)
         NULL_HOOK.on_epoch_end(1, 0.1, 0.2, 0.3, 0.4)
         NULL_HOOK.on_aux_epoch_end(1, 0.5, 0.1, phase="center-cnn")
-        NULL_HOOK.on_phase_end("cgan", 1.0)
-        NULL_HOOK.on_stage_end("optical", 0.5)
-        NULL_HOOK.on_eval_end(ede_mean_nm=1.0)
-        NULL_HOOK.on_run_end(status="ok")
 
 
-class TestCompositeHook:
-    def test_fans_out_in_order(self):
-        first, second = RecordingHook(), RecordingHook()
-        hook = CompositeHook([first, second])
+class TestTrainingCallbacks:
+    def test_epoch_callbacks_forward_to_emit(self):
+        hook = RecordingHook()
         hook.on_epoch_end(3, 0.1, 0.2, 0.3, 0.4)
         hook.on_aux_epoch_end(1, 0.5, 0.1, phase="center-cnn")
-        hook.on_run_end()
-        expected = [
-            ("epoch_end", 3), ("aux_epoch_end", 1, "center-cnn"),
-            ("run_end", "ok"),
+        assert hook.events == [
+            ("epoch_end", {"epoch": 3, "seconds": 0.4, "phase": "cgan",
+                           "d_loss": 0.1, "g_loss": 0.2, "l1": 0.3}),
+            ("epoch_end", {"epoch": 1, "seconds": 0.1,
+                           "phase": "center-cnn", "loss": 0.5}),
         ]
-        assert first.calls == expected
-        assert second.calls == expected
 
 
 class TestRunLoggerHook:
@@ -60,12 +46,12 @@ class TestRunLoggerHook:
         registry = MetricsRegistry()
         with RunLogger(path) as logger:
             hook = RunLoggerHook(logger=logger, registry=registry)
-            hook.on_run_start(command="train")
+            hook.emit("run_start", command="train")
             hook.on_epoch_end(1, 1.0, 2.0, 0.3, 0.25)
             hook.on_aux_epoch_end(1, 0.4, 0.1, phase="center-cnn")
-            hook.on_stage_end("optical", 0.05)
-            hook.on_eval_end(ede_mean_nm=1.2)
-            hook.on_run_end(status="ok")
+            hook.emit("stage_end", stage="optical", seconds=0.05)
+            hook.emit("eval_end", ede_mean_nm=1.2)
+            hook.emit("run_end", status="ok")
 
         events = read_run_log(path)
         assert [e["event"] for e in events] == [
@@ -92,15 +78,15 @@ class TestRunLoggerHook:
         registry = MetricsRegistry()
         hook = RunLoggerHook(registry=registry)
         hook.on_epoch_end(1, 1.0, 2.0, 0.3, 0.25)
-        hook.on_run_end()
+        hook.emit("run_end", status="ok")
         assert "train_epochs_total" in registry
 
     def test_logger_only_bridge_needs_no_registry(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with RunLogger(path) as logger:
             hook = RunLoggerHook(logger=logger)
-            hook.on_run_start(command="train")
-            hook.on_run_end()
+            hook.emit("run_start", command="train")
+            hook.emit("run_end", status="ok")
         assert len(read_run_log(path)) == 2
 
 
@@ -118,14 +104,18 @@ class TestTrialHookBridge:
         path = tmp_path / "run.jsonl"
         with RunLogger(path) as logger:
             hook = RunLoggerHook(logger=logger, registry=registry)
-            logger.run_start(command="sweep")
-            hook.on_trial_start("d1", "trial-000", 1)
-            hook.on_trial_retry("d1", "trial-000", 1, "worker_death", 0.25)
-            hook.on_trial_start("d1", "trial-000", 2)
-            hook.on_trial_end("d1", "trial-000", "completed", 2, seconds=3.0)
-            hook.on_trial_end("d2", "trial-001", "failed", 1,
-                              reason="timeout")
-            logger.run_end(status="ok")
+            hook.emit("run_start", command="sweep")
+            hook.emit("trial_start", digest="d1", attempt=1,
+                      trial="trial-000")
+            hook.emit("trial_retry", digest="d1", attempt=1,
+                      reason="worker_death", trial="trial-000", delay_s=0.25)
+            hook.emit("trial_start", digest="d1", attempt=2,
+                      trial="trial-000")
+            hook.emit("trial_end", digest="d1", status="completed",
+                      trial="trial-000", attempts=2, seconds=3.0)
+            hook.emit("trial_end", digest="d2", status="failed",
+                      trial="trial-001", attempts=1, reason="timeout")
+            hook.emit("run_end", status="ok")
         events = read_run_log(path)
         validate_run_log(events)
         assert [e["event"] for e in events[1:-1]] == [
@@ -136,11 +126,3 @@ class TestTrialHookBridge:
         assert registry.counter(
             "sweep_trials_retried_total",
             labels={"reason": "worker_death"}).value == 1
-
-    def test_trial_callbacks_are_no_ops_on_the_base_hook(self):
-        from repro.telemetry.hooks import TelemetryHook
-
-        hook = TelemetryHook()
-        hook.on_trial_start("d", "t", 1)
-        hook.on_trial_retry("d", "t", 1, "diverged", 0.1)
-        hook.on_trial_end("d", "t", "completed", 1)

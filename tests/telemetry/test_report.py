@@ -18,11 +18,11 @@ from repro.telemetry.profile import LayerStats, ProfileReport
 
 def _write_good_log(path):
     with RunLogger(path) as logger:
-        logger.run_start(command="mint", node="N10",
-                         build={"version": "1.0.0", "git_sha": "abc1234"})
-        logger.stage_end("optical", 2.0, count=8)
-        logger.stage_end("resist", 1.0, count=8)
-        logger.run_end(status="ok", seconds=3.5)
+        logger.emit("run_start", command="mint", node="N10",
+                    build={"version": "1.0.0", "git_sha": "abc1234"})
+        logger.emit("stage_end", stage="optical", seconds=2.0, count=8)
+        logger.emit("stage_end", stage="resist", seconds=1.0, count=8)
+        logger.emit("run_end", status="ok", seconds=3.5)
         return logger.run_id
 
 
@@ -51,7 +51,7 @@ class TestBuildReport:
     def test_missing_run_end_marks_run_truncated(self, tmp_path):
         log = tmp_path / "run.jsonl"
         logger = RunLogger(log)
-        logger.run_start(command="train")
+        logger.emit("run_start", command="train")
         logger.close()
         report = build_report(log)
         assert not report.healthy
@@ -169,17 +169,20 @@ class TestSweepSection:
     def test_trial_events_summarized(self, tmp_path):
         log = tmp_path / "run.jsonl"
         with RunLogger(log) as logger:
-            logger.run_start(command="sweep")
-            logger.trial_start("d1", 1, trial="trial-000")
-            logger.trial_retry("d1", 1, "diverged", trial="trial-000",
-                               delay_s=0.5)
-            logger.trial_start("d1", 2, trial="trial-000")
-            logger.trial_end("d1", "completed", trial="trial-000",
-                             attempts=2)
-            logger.trial_start("d2", 1, trial="trial-001")
-            logger.trial_end("d2", "failed", trial="trial-001",
-                             attempts=1, reason="timeout")
-            logger.run_end(status="ok")
+            logger.emit("run_start", command="sweep")
+            logger.emit("trial_start", digest="d1", attempt=1,
+                        trial="trial-000")
+            logger.emit("trial_retry", digest="d1", attempt=1,
+                        reason="diverged", trial="trial-000", delay_s=0.5)
+            logger.emit("trial_start", digest="d1", attempt=2,
+                        trial="trial-000")
+            logger.emit("trial_end", digest="d1", status="completed",
+                        trial="trial-000", attempts=2)
+            logger.emit("trial_start", digest="d2", attempt=1,
+                        trial="trial-001")
+            logger.emit("trial_end", digest="d2", status="failed",
+                        trial="trial-001", attempts=1, reason="timeout")
+            logger.emit("run_end", status="ok")
         report = build_report(log)
         assert report.sweep["trials"] == 2
         assert report.sweep["completed"] == 1
