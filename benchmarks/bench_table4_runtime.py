@@ -30,9 +30,8 @@ from repro.config import N10, reduced
 from repro.data import synthesize_dataset
 from repro.eval import format_table4, table4_ratios
 from repro.layout import generate_clip
-from repro.serving import InferenceService, serve_latency_quantiles
 from repro.sim import LithographySimulator
-from repro.telemetry import LayerProfiler, Tracer, build_fingerprint, profiled
+from repro.telemetry import Tracer, build_fingerprint
 
 #: one tracer shared by the three flows; its spans are the timing substrate
 FLOW_TRACER = Tracer()
@@ -139,69 +138,8 @@ def parallel_mint_timing():
     }
 
 
-@pytest.fixture(scope="module")
-def layer_profile(bundle_n10):
-    """Layer-by-layer cost of the inference networks on the bench config.
-
-    Profiles the two networks a Table-4 "Ours" prediction runs (generator +
-    center CNN) and keeps the wall-clock of the same profiled forwards, so
-    the accounting can be checked against it: the per-layer sum must explain
-    at least 80% of the measured forward time, or the profiler is lying.
-    """
-    lithogan = bundle_n10.lithogan
-    masks = bundle_n10.test.masks[:8]
-    lithogan.predict_resist(masks[:1])  # warm caches before timing
-    profiler = LayerProfiler()
-    nets = (lithogan.cgan.generator, lithogan.center_cnn)
-    start = time.perf_counter()
-    with profiled(profiler, *nets):
-        for net in nets:
-            for _ in range(3):
-                net.forward(masks)
-    forward_wall_s = time.perf_counter() - start
-    return {"report": profiler.report(), "forward_wall_s": forward_wall_s}
-
-
-def test_layer_profile_accounts_for_forward_wall_clock(layer_profile):
-    report = layer_profile["report"]
-    wall = layer_profile["forward_wall_s"]
-    assert report.forward_s >= 0.8 * wall, (
-        f"per-layer forward time {report.forward_s:.4f}s explains less than "
-        f"80% of the measured {wall:.4f}s forward wall clock"
-    )
-    networks = {row.network for row in report.rows}
-    assert networks == {"generator", "center_cnn"}
-    assert report.flops > 0
-
-
-def test_disabled_profiling_adds_zero_overhead(bundle_n10):
-    """With no profiler attached, the clock must never be consulted."""
-    import repro.telemetry.profile as profile_module
-
-    lithogan = bundle_n10.lithogan
-    masks = bundle_n10.test.masks[:2]
-    calls = {"n": 0}
-    original = profile_module.perf_counter
-
-    def counting_clock():
-        calls["n"] += 1
-        return original()
-
-    profile_module.perf_counter = counting_clock
-    try:
-        assert lithogan.cgan.generator.profiler is None
-        assert lithogan.center_cnn.profiler is None
-        lithogan.predict_resist(masks)
-    finally:
-        profile_module.perf_counter = original
-    assert calls["n"] == 0, (
-        f"unprofiled inference consulted the profiler clock {calls['n']} "
-        "times; the disabled path must be zero-overhead"
-    )
-
-
 def test_table4(timings, artifact_dir, benchmark, bundle_n10,
-                parallel_mint_timing, layer_profile):
+                parallel_mint_timing):
     lines = format_table4(timings)
     paper_note = (
         "paper ratios: Rigorous ~1800x, Ref. [12] ~190x, ours 1x "
@@ -211,45 +149,20 @@ def test_table4(timings, artifact_dir, benchmark, bundle_n10,
 
     ratios = table4_ratios(timings)
 
-    # Serving-path latency: run the same test masks through the hardened
-    # InferenceService so the artifact also tracks what a *served* clip
-    # costs (admission + forward + guard + any fallback), as quantiles of
-    # the tracer's per-clip serve_clip spans.
-    service = InferenceService(
-        bundle_n10.lithogan, bundle_n10.config, tracer=FLOW_TRACER
-    )
-    serve_report = service.serve_batch(bundle_n10.test.masks)
-    serve_quantiles = serve_latency_quantiles(FLOW_TRACER)
-
-    # Machine-readable artifact for the perf trajectory: flow timings plus
-    # the per-stage span breakdown the shared tracer collected underneath.
-    profile_report = layer_profile["report"]
+    # Machine-readable artifact: flow timings plus the per-stage span
+    # breakdown the shared tracer collected underneath.
     (artifact_dir / "BENCH_table4.json").write_text(json.dumps({
         "schema_version": 1,
         "build": build_fingerprint(),
         "seconds_per_clip": timings,
         "ratios": ratios,
-        "layer_profile": {
-            "forward_wall_s": layer_profile["forward_wall_s"],
-            "forward_s": profile_report.forward_s,
-            "backward_s": profile_report.backward_s,
-            "flops": profile_report.flops,
-            "top_layers": [
-                row.to_dict() for row in profile_report.top_layers(5)
-            ],
-        },
         "stage_totals_s": FLOW_TRACER.totals(),
         "stage_counts": {
             name: FLOW_TRACER.count(name) for name in FLOW_TRACER.totals()
         },
-        "serve_clip_latency_s": serve_quantiles,
-        "serve_clips": serve_report.admitted,
-        "serve_fallbacks": serve_report.fallbacks,
         "parallel_mint": parallel_mint_timing,
         "paper_ratios": {"Rigorous": 1800.0, "Ref. [12]": 190.0},
     }, indent=2) + "\n")
-    assert serve_report.admitted == len(bundle_n10.test.masks)
-    assert set(serve_quantiles) == {"p50", "p90", "p99"}
     # The fan-out should pay for itself where there are cores to use; on
     # starved runners (this container has 1) only record the numbers.
     if parallel_mint_timing["cpu_count"] >= 4:

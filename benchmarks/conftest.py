@@ -4,8 +4,9 @@ Training the three flows (LithoGAN, plain CGAN, Ref-[12]) dominates the
 benchmark suite's wall-clock, so it happens once per session in the
 ``bundle_n10`` / ``bundle_n7`` fixtures and is cached on disk — re-running
 ``pytest benchmarks/ --benchmark-only`` after the first time loads the
-pickled bundle instead of retraining.  Delete ``benchmarks/.cache`` to force
-a retrain (e.g. after changing training code).
+pickled bundle instead of retraining.  The cache key covers the config and
+the source of the imported ``repro`` package, so editing any of its modules
+(training, kernels, synthesis) retrains instead of scoring a stale model.
 
 The reduced scale (64x64 images, base width 16) keeps every code path of the
 paper-scale setup; see DESIGN.md section 5.
@@ -24,6 +25,7 @@ from typing import Dict, Optional
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines import Ref12Flow
 from repro.config import ExperimentConfig, N7, N10, reduced
 from repro.core import CganHistory, LithoGan, LithoGanHistory, PlainCgan
@@ -35,7 +37,7 @@ ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
 #: benchmark-scale experiment knobs (kept small enough for CPU training);
 #: REPRO_BENCH_CLIPS / REPRO_BENCH_EPOCHS override them for constrained
-#: runners (the CI report drill runs a much smaller configuration)
+#: runners (the CI table4 job runs a much smaller configuration)
 BENCH_CLIPS = int(os.environ.get("REPRO_BENCH_CLIPS", 180))
 BENCH_EPOCHS = int(os.environ.get("REPRO_BENCH_EPOCHS", 10))
 
@@ -73,9 +75,20 @@ def _bench_config(tech) -> ExperimentConfig:
     return reduced(tech, num_clips=BENCH_CLIPS, epochs=BENCH_EPOCHS)
 
 
+def _source_digest() -> str:
+    """md5 over every ``.py`` file of the imported ``repro`` package."""
+    root = Path(repro.__file__).parent
+    digest = hashlib.md5()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(config: ExperimentConfig) -> str:
-    digest = hashlib.md5(repr(config).encode()).hexdigest()[:12]
-    return f"bundle_{config.tech.name}_{digest}.pkl"
+    digest = hashlib.md5(repr(config).encode())
+    digest.update(_source_digest().encode())
+    return f"bundle_{config.tech.name}_{digest.hexdigest()[:12]}.pkl"
 
 
 def _train_bundle(config: ExperimentConfig) -> TrainedBundle:

@@ -357,33 +357,22 @@ DATA_POLICIES = (
 
 @dataclass(frozen=True)
 class DataIntegrityConfig:
-    """Self-healing data-layer knobs: manifests, validation, quarantine.
+    """Self-healing data-layer knobs: validation and quarantine.
 
-    ``write_manifest`` controls whether :func:`~repro.data.save_dataset`
-    emits the per-record integrity sidecar.  ``policy`` is the default
-    load-time posture (the CLI's ``--data-policy`` flag wins): ``none``
-    loads unvalidated, ``strict`` fails closed on the first bad record,
-    ``salvage`` quarantines bad records and proceeds with the verified
-    subset, ``repair`` re-synthesizes quarantined records from manifest
-    provenance.  ``center_tolerance_px`` bounds how far a stored center
-    label may drift from the recomputed bounding-box center of its golden
-    window before the record is flagged; the geometric plausibility bounds
-    themselves are shared with serving (see
+    The load-time posture is not a config field: each load picks one of
+    :data:`DATA_POLICIES` (``load_dataset(policy=)``, the CLI's
+    ``--data-policy``).  ``center_tolerance_px`` bounds how far a stored
+    center label may drift from the recomputed bounding-box center of its
+    golden window before the record is flagged; the geometric plausibility
+    bounds themselves are shared with serving (see
     :class:`~repro.serving.GeometryBounds`).
     """
 
-    write_manifest: bool = True
-    policy: str = DATA_POLICY_NONE
     center_tolerance_px: float = 1.0
     #: records a salvage pass must leave behind for training to proceed
     min_salvaged_records: int = 2
 
     def __post_init__(self) -> None:
-        if self.policy not in DATA_POLICIES:
-            raise ConfigError(
-                f"data policy must be one of {DATA_POLICIES}, "
-                f"got {self.policy!r}"
-            )
         if self.center_tolerance_px <= 0:
             raise ConfigError(
                 "center_tolerance_px must be positive, got "

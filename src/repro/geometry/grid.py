@@ -97,34 +97,6 @@ class Grid:
             return (out >= threshold).astype(np.float64)
         return out
 
-    # -- resampling ----------------------------------------------------------
-
-    def crop_window(self, image: np.ndarray, center: Point,
-                    window_nm: float) -> np.ndarray:
-        """Extract a square window (in nm) centered on a layout point.
-
-        The window is returned at this grid's native resolution; pixels
-        falling outside the grid are zero-padded.  Used to cut the paper's
-        128x128 nm golden-resist window around the target contact.
-        """
-        if image.shape != (self.size, self.size):
-            raise GeometryError(
-                f"image has shape {image.shape}, expected {(self.size, self.size)}"
-            )
-        half_px = window_nm / self.nm_per_px / 2.0
-        row_c, col_c = self.to_pixel(center)
-        r0 = int(round(row_c - half_px + 0.5))
-        c0 = int(round(col_c - half_px + 0.5))
-        n = int(round(2 * half_px))
-        out = np.zeros((n, n), dtype=image.dtype)
-        src_r0, src_c0 = max(r0, 0), max(c0, 0)
-        src_r1, src_c1 = min(r0 + n, self.size), min(c0 + n, self.size)
-        if src_r1 > src_r0 and src_c1 > src_c0:
-            out[src_r0 - r0 : src_r1 - r0, src_c0 - c0 : src_c1 - c0] = image[
-                src_r0:src_r1, src_c0:src_c1
-            ]
-        return out
-
 
 def resample_image(image: np.ndarray, new_size: int) -> np.ndarray:
     """Resample a square image to ``new_size`` via area-average / repetition.

@@ -20,8 +20,8 @@ recovery paths are provable rather than aspirational:
     backoff with bounded retries when training diverges.
 ``repro.runtime.faults``
     :class:`FaultPlan` — deterministic NaN / interrupt / worker-crash /
-    file-corruption injection used by tests, CI drills, and the CLI's
-    ``--inject-*`` flags.
+    file-corruption injection used by tests and the CLI's ``--inject-*``
+    flags.
 ``repro.runtime.parallel``
     :class:`WorkerPool` — deterministic fan-out over serial/thread/process
     backends with per-shard seeding, ordered reassembly, and crash

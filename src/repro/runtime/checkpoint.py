@@ -410,15 +410,6 @@ class CheckpointManager:
     def latest_path(self) -> Path:
         return self.directory / self._entry_for(None)["file"]
 
-    def best_path(self) -> Path:
-        """Path of the lowest-loss retained checkpoint."""
-        scored = [e for e in self.entries() if e.get("loss") is not None]
-        if not scored:
-            raise CheckpointError(
-                f"no loss-scored checkpoints in {self.directory}"
-            )
-        return self.directory / min(scored, key=lambda e: e["loss"])["file"]
-
     def load(self, step: Optional[int] = None
              ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         """Load the latest (or a specific-step) checkpoint, fully validated.

@@ -1,6 +1,6 @@
 """A golden-playback stand-in model for serving drills and benchmarks.
 
-Soak tests and CI drills need a model whose *un-faulted* outputs always
+Soak tests and serving drills need a model whose *un-faulted* outputs always
 pass the output guard — otherwise a shed/fallback count mixes injected
 faults with the natural misses of a cheaply trained network and nothing
 can be asserted exactly.  :class:`PlaybackModel` answers ``predict_raw``

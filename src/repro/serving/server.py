@@ -36,8 +36,9 @@ the one-shot service into an always-on loop:
 * **Drain.** :meth:`InferenceServer.close` stops intake and, by default,
   drains: queued requests are still served (bounded by
   ``drain_timeout_s``); anything left after the timeout is shed with
-  ``reason="shutdown"``.  The invariant, chaos-drilled in CI: every
-  admitted request is answered or explicitly shed — never dropped.
+  ``reason="shutdown"``.  The invariant, chaos-drilled by the CLI soak
+  tests: every admitted request is answered or explicitly shed — never
+  dropped.
 
 * **Hot swap.** The model lives in a *slot* each batch captures once at
   its batch boundary: :meth:`InferenceServer.swap_model` replaces the slot
@@ -61,8 +62,9 @@ as a polling cadence.
 
 :func:`run_soak` is the sustained-load harness: it ramps synthetic QPS
 across tenants against a server, then drains and audits the invariant,
-producing the :class:`SoakReport` behind ``BENCH_serve.json`` and the CI
-``serve-soak`` drill.
+producing the :class:`SoakReport` that ``repro-litho serve --soak
+--report`` writes and ``tests/test_cli.py::TestServeSoak`` audits under
+injected slow batches, degenerate outputs and a wedged executor.
 """
 
 from __future__ import annotations
@@ -423,11 +425,6 @@ class InferenceServer:
                 previous=self.model_label, reason=mode,
             )
         return label
-
-    def start_shadow(self, model, **kwargs) -> str:
-        """Shorthand for :meth:`start_canary` with ``mode="shadow"``."""
-        kwargs["mode"] = MODE_SHADOW
-        return self.start_canary(model, **kwargs)
 
     def promote_candidate(self, reason: str = "promote") -> str:
         """Swap the candidate into the incumbent slot; returns its label.
@@ -957,7 +954,7 @@ class ServerStats:
 
 @dataclass(frozen=True)
 class SoakReport:
-    """What one ramping-QPS soak produced; the body of BENCH_serve.json."""
+    """What one ramping-QPS soak produced; the body of ``serve --report``."""
 
     duration_s: float
     qps_start: float

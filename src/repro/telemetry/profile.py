@@ -123,23 +123,6 @@ class ProfileReport:
             raise TelemetryError(f"malformed profile payload: {exc}") from exc
         return cls(rows=rows)
 
-    def format_table(self, k: int = 5) -> str:
-        """Human-readable top-K hot-layer table."""
-        total = self.forward_s + self.backward_s
-        lines = [
-            f"{'layer':<28} {'op':<8} {'calls':>6} {'fwd_s':>9} "
-            f"{'bwd_s':>9} {'total_s':>9} {'share':>6} {'gflops':>8}"
-        ]
-        for row in self.top_layers(k):
-            share = row.total_s / total if total > 0 else 0.0
-            lines.append(
-                f"{row.network + '[' + str(row.index) + ']':<28} "
-                f"{row.op:<8} {row.calls:>6} {row.forward_s:>9.4f} "
-                f"{row.backward_s:>9.4f} {row.total_s:>9.4f} "
-                f"{share:>5.1%} {row.flops / 1e9:>8.3f}"
-            )
-        return "\n".join(lines)
-
     def save(self, path: Union[str, Path]) -> Path:
         path = Path(path)
         try:

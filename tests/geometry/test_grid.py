@@ -75,24 +75,6 @@ class TestRasterization:
             grid.rasterize_rect(Rect(0, 0, 1, 1), out=np.zeros((4, 4)))
 
 
-class TestCropWindow:
-    def test_centered_crop(self):
-        grid = Grid(size=16, extent_nm=160.0)
-        image = np.zeros((16, 16))
-        image[7:9, 7:9] = 1.0
-        window = grid.crop_window(image, Point(80.0, 80.0), 40.0)
-        assert window.shape == (4, 4)
-        assert window.sum() == pytest.approx(4.0)
-
-    def test_crop_near_border_zero_pads(self):
-        grid = Grid(size=16, extent_nm=160.0)
-        image = np.ones((16, 16))
-        window = grid.crop_window(image, Point(5.0, 5.0), 80.0)
-        assert window.shape == (8, 8)
-        assert window.min() == 0.0  # padded region
-        assert window.max() == 1.0
-
-
 class TestResample:
     def test_upscale_repeats(self):
         image = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -137,9 +137,3 @@ class TestProfileReport:
         path.write_text('{"layers": [{"nonsense": true}]}')
         with pytest.raises(TelemetryError):
             ProfileReport.load(path)
-
-    def test_format_table_mentions_hot_layer_first(self):
-        table = self._report().format_table(2)
-        lines = table.splitlines()
-        assert "net[1]" in lines[1]
-        assert len(lines) == 3

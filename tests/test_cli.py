@@ -168,7 +168,7 @@ class TestTelemetryFlags:
         assert all(s > 0 for s in history["epoch_seconds"])
 
     def test_mint_and_evaluate_share_a_log_file(self, workspace, dataset_path,
-                                                telemetry_run):
+                                                telemetry_run, capsys):
         log = workspace / "shared.jsonl"
         path = workspace / "mint_telemetry.npz"
         code = main([
@@ -192,6 +192,11 @@ class TestTelemetryFlags:
         }
         assert {"rasterize", "optical", "resist", "contour"} <= mint_stages
         assert any(e["event"] == "eval_end" for e in runs[1])
+        capsys.readouterr()
+        assert main(["report", "--log", str(log), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [run["command"] for run in payload["runs"]] == \
+            ["mint", "evaluate"]
 
     def test_evaluate_json_flag_prints_table3_row(self, dataset_path,
                                                   telemetry_run, capsys):
@@ -370,11 +375,12 @@ class TestPredict:
         # a 1-epoch model may fall back on its own outputs too, so the
         # guarantee here is containment, not equality (equality is asserted
         # against the golden playback model in tests/serving)
-        fallback_clips = {
+        fallback_clips = [
             c["clip"] for c in report["served"]
             if c["provenance"] == "fallback_sim"
-        }
-        assert set(injected) <= fallback_clips
+        ]
+        assert set(injected) <= set(fallback_clips)
+        assert report["fallbacks"] == len(fallback_clips)
 
     def test_no_fallback_mode_never_simulates(self, workspace, dataset_path,
                                               serve_model_dir, capsys):
@@ -656,3 +662,95 @@ class TestCrashRecovery:
             and record.get("phase") == "cgan"
         ]
         assert cgan_epochs == []
+
+
+class TestServeSoak:
+    """`serve` over golden playback: tenants, chaos faults, the watchdog."""
+
+    def soak(self, dataset_path, tmp_path, capsys, *extra):
+        report = tmp_path / "soak.json"
+        code = main([
+            "serve", "--dataset", str(dataset_path), "--seed", "1",
+            "--soak", "--report", str(report), *extra,
+        ])
+        assert code == 0, capsys.readouterr().err
+        return json.loads(report.read_text())
+
+    def test_chaos_soak_answers_every_request_fairly(
+            self, dataset_path, tmp_path, capsys):
+        log = tmp_path / "soak.jsonl"
+        report = self.soak(
+            dataset_path, tmp_path, capsys, "--duration", "1.5",
+            "--tenants", "opc:2,ilt:1", "--inject-slow-every", "10:0.05",
+            "--inject-degenerate", "0.1", "--fairness-bound", "0.5",
+            "--log-json", str(log),
+        )
+        assert report["unanswered"] == 0
+        assert report["answered"] == report["submitted"]
+        assert report["served"] > 0
+        assert not report["wedged"]
+        assert report["fairness_gap"] <= 0.5
+        assert set(report["tenants"]) == {"opc", "ilt"}
+        assert all(t["submitted"] > 0 for t in report["tenants"].values())
+        assert report["latency_p50_ms"] <= report["latency_p99_ms"]
+        validate_run_log(read_run_log(log))
+
+    def test_wedged_executor_fails_typed_not_hung(
+            self, dataset_path, tmp_path, capsys):
+        report = self.soak(
+            dataset_path, tmp_path, capsys, "--duration", "1",
+            "--watchdog", "0.3", "--inject-wedge", "2:600",
+        )
+        assert report["wedged"] is True
+        assert report["unanswered"] == 0
+        assert report["shed_by_reason"].get("wedged", 0) > 0
+
+
+class TestOptimize:
+    """`optimize`: simulator-verified, deterministic ILT through the proxy."""
+
+    CLIPS, STEPS = 2, 4
+
+    @pytest.fixture(scope="class")
+    def ilt_run(self, workspace, serve_model_dir):
+        paths = {name: workspace / f"ilt_{name}" for name in
+                 ("report.json", "repeat.json", "run.jsonl")}
+        argv = [
+            "optimize", "--model", str(serve_model_dir),
+            "--clips", str(self.CLIPS), "--steps", str(self.STEPS),
+            "--verify-every", "2", "--seed", "1",
+        ]
+        assert main([*argv, "--report", str(paths["report.json"]),
+                     "--log-json", str(paths["run.jsonl"])]) == 0
+        assert main([*argv, "--report", str(paths["repeat.json"])]) == 0
+        return paths
+
+    def test_verified_masks_beat_both_baselines(self, ilt_run):
+        report = json.loads(ilt_run["report.json"].read_text())
+        assert report["type"] == "optimize"
+        assert report["clips"] == self.CLIPS
+        assert report["verifications"] > 0
+        assert all(clip["verifications"] > 0 for clip in report["per_clip"])
+        assert report["improved_vs_unoptimized"]
+        assert report["improved_vs_rule_opc"]
+        assert report["epe_ilt_nm"] < report["epe_unoptimized_nm"]
+        assert report["epe_ilt_nm"] <= report["epe_rule_opc_nm"]
+
+    def test_same_seed_reports_are_byte_identical(self, ilt_run):
+        assert (ilt_run["report.json"].read_bytes()
+                == ilt_run["repeat.json"].read_bytes())
+
+    def test_run_log_and_report_ilt_section(self, ilt_run, capsys):
+        events = read_run_log(ilt_run["run.jsonl"])
+        validate_run_log(events)
+        kinds = [e["event"] for e in events]
+        assert kinds.count("ilt_start") == kinds.count("ilt_end") == 1
+        assert kinds.count("ilt_step") == self.CLIPS * self.STEPS
+        capsys.readouterr()
+        assert main(["report", "--log", str(ilt_run["run.jsonl"]),
+                     "--json"]) == 0
+        ilt = json.loads(capsys.readouterr().out)["ilt"]
+        report = json.loads(ilt_run["report.json"].read_text())
+        assert ilt["runs"] == ilt["improved"] == 1
+        assert ilt["steps"] == self.CLIPS * self.STEPS
+        assert ilt["verifications"] == report["verifications"]

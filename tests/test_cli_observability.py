@@ -167,6 +167,17 @@ class TestReportCommand:
         ]) == 0
         assert json.loads(saved.read_text())["schema_version"] == 1
 
+    def test_json_out_prints_exactly_what_it_saves(self, observed_mint,
+                                                   workspace, capsys):
+        saved = workspace / "report_json.json"
+        assert main([
+            "report", "--log", str(observed_mint["log"]),
+            "--trace", str(observed_mint["trace"]),
+            "--metrics", str(observed_mint["metrics"]),
+            "--json", "--out", str(saved),
+        ]) == 0
+        assert capsys.readouterr().out == saved.read_text()
+
     def test_corrupt_log_exits_nonzero_naming_path(self, workspace, capsys):
         bad = workspace / "bad.jsonl"
         bad.write_text('{"event": "run_start"}\nnot json\n{"seq": 2}\n')

@@ -152,6 +152,42 @@ class TestServeFromRegistry:
         assert code == 6
         assert "ghost" in capsys.readouterr().err
 
+    def test_corrupt_version_never_serves(self, workspace, dataset_path,
+                                          weights_dir, capsys):
+        registry = workspace / "reg_corrupt_serve"
+        assert main([
+            "registry", "--registry", str(registry), "publish",
+            "--name", "litho", "--weights", str(weights_dir),
+        ]) == 0
+        capsys.readouterr()
+        victim = registry / "litho" / "v000001" / "generator.npz"
+        victim.write_bytes(b"flipped bits")
+        code = main([
+            "serve", "--dataset", str(dataset_path),
+            "--registry", str(registry), "--model", "litho@1",
+            "--duration", "1",
+        ])
+        assert code == 6
+        assert str(victim) in capsys.readouterr().err
+
+    def test_registry_incumbent_is_served_under_its_label(
+            self, workspace, dataset_path, weights_dir, capsys):
+        registry = workspace / "reg_incumbent"
+        assert main([
+            "registry", "--registry", str(registry), "publish",
+            "--name", "litho", "--weights", str(weights_dir),
+        ]) == 0
+        report = workspace / "incumbent.json"
+        code = main([
+            "serve", "--dataset", str(dataset_path), "--seed", "1",
+            "--registry", str(registry), "--model", "litho@1",
+            "--duration", "1", "--soak", "--report", str(report),
+        ])
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads(report.read_text())
+        assert payload["server"]["model"] == "litho@1"
+        assert payload["unanswered"] == 0
+
     def test_canary_requires_registry(self, dataset_path, capsys):
         code = main([
             "serve", "--dataset", str(dataset_path),

@@ -6,9 +6,16 @@ and the journal-driven commands (status, resume, exit codes) replay it.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.sweep import read_journal, replay_journal
 
@@ -144,3 +151,49 @@ class TestFailureBudget:
         state = replay_journal(read_journal(out / "journal.jsonl"))
         statuses = {state.status_of(d) for d in state.latest}
         assert statuses == {"failed"}
+
+
+class TestKillAndResume:
+    def test_sigkill_then_resume_runs_each_trial_exactly_once(
+            self, workspace, capsys):
+        out = workspace / "killed"
+        journal = out / "journal.jsonl"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        sweep = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "sweep", "--seed", "0",
+             "--out", str(out), "run", "--clips", "6", "--epochs", "1",
+             "--workers", "2", "--param", "training.seed=0,1,2",
+             "--inject-nan", "0", "--inject-worker-crash", "1",
+             "--max-retries", "1", "--retry-delay", "0.01",
+             "--max-failed", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        deadline = time.monotonic() + 300
+        try:
+            # Trials run in order, so once trial 1's injected crash is
+            # journaled trial 0 has completed and trial 1 is mid-retry.
+            while not journal.exists() or not any(
+                    r.get("reason") == "worker_death"
+                    for r in read_journal(journal)):
+                assert sweep.poll() is None, "sweep exited before the kill"
+                assert time.monotonic() < deadline, "sweep never crashed"
+                time.sleep(0.1)
+        finally:
+            if sweep.poll() is None:  # unreaped, so its group still exists
+                os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.wait(timeout=30)
+        before = replay_journal(read_journal(journal))
+        assert 0 < len(before.completed()) < 3
+
+        assert main(["sweep", "--out", str(out), "resume"]) == 0
+        capsys.readouterr()
+        records = read_journal(journal)
+        after = replay_journal(records)
+        assert len(after.completed()) == 3
+        for digest in before.completed():
+            assert after.attempts[digest] == before.attempts[digest]
+        reasons = {r["reason"] for r in records if r["kind"] == "trial_retry"}
+        assert {"diverged", "worker_death"} <= reasons

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.config import (
-    DATA_POLICIES,
     DataIntegrityConfig,
     ExperimentConfig,
     ImageConfig,
@@ -154,13 +153,8 @@ class TestTrainingConfig:
 class TestDataIntegrityConfig:
     def test_defaults_valid(self):
         config = DataIntegrityConfig()
-        assert config.write_manifest
-        assert config.policy == "none"
-        assert config.policy in DATA_POLICIES
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ConfigError):
-            DataIntegrityConfig(policy="pray")
+        assert config.center_tolerance_px == 1.0
+        assert config.min_salvaged_records == 2
 
     def test_rejects_non_positive_tolerance(self):
         with pytest.raises(ConfigError):
@@ -173,8 +167,9 @@ class TestDataIntegrityConfig:
     def test_experiment_config_carries_data_integrity(self):
         config = reduced()
         assert isinstance(config.data, DataIntegrityConfig)
-        custom = config.replace(data=DataIntegrityConfig(policy="strict"))
-        assert custom.data.policy == "strict"
+        custom = config.replace(
+            data=DataIntegrityConfig(min_salvaged_records=5))
+        assert custom.data.min_salvaged_records == 5
 
 
 class TestRegistryConfig:
