@@ -86,7 +86,7 @@ def main() -> None:
     print(f"  target rectangle {layout.target.width:.1f} nm -> "
           f"{refined.target.width:.1f} nm wide")
 
-    stats = simulator.timer.as_dict()
+    stats = simulator.tracer.totals()
     print("\nper-stage time spent (s): "
           + ", ".join(f"{k}={v:.2f}" for k, v in stats.items()))
 

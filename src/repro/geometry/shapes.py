@@ -9,7 +9,7 @@ immutable :class:`Rect` with the handful of predicates the design rules need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 from ..errors import GeometryError
 
@@ -26,9 +26,6 @@ class Point:
 
     def distance_to(self, other: "Point") -> float:
         return ((self.x - other.x) ** 2 + (self.y - other.y) ** 2) ** 0.5
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)

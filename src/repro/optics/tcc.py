@@ -51,10 +51,6 @@ class TccModel:
                 f"TCC matrix is not Hermitian (max asymmetry {hermitian_error:.3e})"
             )
 
-    @property
-    def num_bins(self) -> int:
-        return int(self.freq_indices.shape[0])
-
 
 def na_radius_in_samples(optical: OpticalConfig, extent_nm: float) -> float:
     """Pupil-edge radius measured in FFT frequency samples.

@@ -198,16 +198,6 @@ class FaultPlan:
         return self
 
     @property
-    def degenerate_clips(self) -> Tuple[int, ...]:
-        """Sorted clip indices with a degenerate-output fault still pending."""
-        return tuple(sorted(self._degenerate))
-
-    @property
-    def crash_shards(self) -> Tuple[int, ...]:
-        """Sorted shard indices with a worker-crash fault still pending."""
-        return tuple(sorted(self._worker_crash))
-
-    @property
     def pending(self) -> int:
         """Number of scheduled faults that have not fired yet."""
         return (len(self._nan) + len(self._interrupt)

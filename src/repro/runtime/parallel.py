@@ -33,14 +33,14 @@ and (in drills) originate from :meth:`FaultPlan.inject_worker_crash`.
 tracer, every dispatch reserves a ``parallel_shard`` span ID up front and
 ships a :class:`TraceWire` to the worker.  The worker builds a shard-local
 :class:`~repro.telemetry.trace.Tracer` (origin ``w<shard>``, span IDs
-namespaced under the reserved parent ID) plus a shard-local
-:class:`~repro.telemetry.metrics.MetricsRegistry`, installs both as the
-thread's *ambient* telemetry (:func:`~repro.telemetry.trace.
-get_active_tracer` / :func:`~repro.telemetry.metrics.get_active_registry`),
-and returns its finished spans and metric deltas with the shard result.  The
-parent absorbs them **in submission order**, so a ``--workers 8`` run yields
-one coherent, deterministic-structure trace — identical in shape across
-serial, thread, and process backends.
+namespaced under the reserved parent ID), installs it as the thread's
+*ambient* tracer (:func:`~repro.telemetry.trace.get_active_tracer`), and
+returns its finished spans with the shard result.  The parent absorbs them
+**in submission order**, so a ``--workers 8`` run yields one coherent,
+deterministic-structure trace — identical in shape across serial, thread,
+and process backends.  Shards ship spans only: worker-side counts reach the
+parent's registry as those spans, through
+:meth:`~repro.telemetry.trace.Tracer.record_into`.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ import numpy as np
 from ..config import PARALLEL_BACKENDS, ParallelConfig
 from ..errors import ConfigError, ParallelError, ReproError
 from ..telemetry.hooks import RunLoggerHook
-from ..telemetry.metrics import MetricsRegistry, activate_registry
 from ..telemetry.trace import Tracer, activate_tracer
 
 #: exit status a crash-injected process worker dies with (see FaultPlan).
@@ -81,7 +80,6 @@ class ShardTelemetry(NamedTuple):
 
     result: Any
     spans: List[dict]     # SpanRecord.to_dict() forms, completion order
-    metrics: dict         # MetricsRegistry.snapshot() delta
 
 
 def shard_seed(base_seed: int, shard: int) -> int:
@@ -127,7 +125,7 @@ def chunk_indices(n: int, workers: int,
 
 def _run_wired(fn: Callable[[Any], Any], payload: Any,
                wire: TraceWire) -> ShardTelemetry:
-    """Run ``fn`` under shard-local ambient telemetry; bundle the deltas.
+    """Run ``fn`` under a shard-local ambient tracer; bundle its spans.
 
     The shard tracer joins the parent's trace (same ``trace_id``), parents
     its root spans under the reserved ``parallel_shard`` span, and
@@ -141,18 +139,14 @@ def _run_wired(fn: Callable[[Any], Any], payload: Any,
         id_namespace=wire.parent_span_id,
         root_parent_id=wire.parent_span_id,
     )
-    registry = MetricsRegistry()
-    previous_tracer = activate_tracer(tracer)
-    previous_registry = activate_registry(registry)
+    previous = activate_tracer(tracer)
     try:
         result = fn(payload)
     finally:
-        activate_tracer(previous_tracer)
-        activate_registry(previous_registry)
+        activate_tracer(previous)
     return ShardTelemetry(
         result=result,
         spans=[record.to_dict() for record in tracer.records],
-        metrics=registry.snapshot(),
     )
 
 
@@ -308,8 +302,6 @@ class WorkerPool:
             self.registry.counter(
                 "parallel_tasks_total", labels={"task": task}
             ).inc()
-            if shipped is not None:
-                self.registry.merge_snapshot(shipped.metrics)
 
     def _record_failure(self, task: str, shard: int, detail: str) -> None:
         if self.hook is not None:

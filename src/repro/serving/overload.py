@@ -19,11 +19,10 @@ Three independent mechanisms keep a serving node answering under stress:
   decides between closing (healthy again) and re-opening.  Transitions are
   deterministic in the clip stream, so drills can assert them exactly.
 
-Both time-aware primitives (:class:`Deadline`, and the transition
-timestamps of :class:`CircuitBreaker`) take an injectable monotonic
-``clock`` (default :func:`time.perf_counter`), so overload tests drive a
-fake clock forward instead of sleeping — expiry and probe-race scenarios
-become deterministic and instantaneous.
+:class:`Deadline` takes an injectable monotonic ``clock`` (default
+:func:`time.perf_counter`), so overload tests drive a fake clock forward
+instead of sleeping — expiry and probe-race scenarios become deterministic
+and instantaneous.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
-#: the default monotonic clock for every time-aware overload primitive
+#: the default monotonic clock for deadlines and the serving loop
 MONOTONIC_CLOCK = time.perf_counter
 
 
@@ -157,21 +156,16 @@ class CircuitBreaker:
     ``open`` → (``probe_after`` clips served without the model) →
     ``half_open`` → one model probe → ``closed`` on success, ``open`` on
     failure.  ``on_transition(from_state, to_state, reason)`` fires on every
-    edge; ``transitions`` keeps the full history for assertions, and
-    ``transition_times`` the matching monotonic timestamps (from the
-    injectable ``clock``), so drills can correlate breaker edges with
-    deadline expiry without real sleeps.
+    edge; ``transitions`` keeps the full history for assertions.
     """
 
     def __init__(self, threshold: int, probe_after: int,
-                 on_transition: Optional[Callable[[str, str, str], None]] = None,
-                 clock: Optional[Callable[[], float]] = None):
+                 on_transition: Optional[
+                     Callable[[str, str, str], None]] = None):
         self.threshold = threshold
         self.probe_after = probe_after
         self.state = BREAKER_CLOSED
         self.transitions: List[Tuple[str, str, str]] = []
-        self.transition_times: List[float] = []
-        self._clock = clock if clock is not None else MONOTONIC_CLOCK
         self._on_transition = on_transition
         self._consecutive_failures = 0
         self._clips_since_open = 0
@@ -180,19 +174,8 @@ class CircuitBreaker:
         from_state = self.state
         self.state = to_state
         self.transitions.append((from_state, to_state, reason))
-        self.transition_times.append(self._clock())
         if self._on_transition is not None:
             self._on_transition(from_state, to_state, reason)
-
-    @property
-    def trips(self) -> int:
-        """How many times the breaker has opened."""
-        return sum(1 for _, to, _ in self.transitions if to == BREAKER_OPEN)
-
-    @property
-    def last_transition_at(self) -> Optional[float]:
-        """Monotonic timestamp of the most recent edge, or None."""
-        return self.transition_times[-1] if self.transition_times else None
 
     def allow_model(self) -> bool:
         """Decide, for the next clip, whether the model may run.

@@ -243,7 +243,7 @@ class InferenceServer:
         self.clock = clock if clock is not None else MONOTONIC_CLOCK
         self._given_clock = clock
         self._simulator = simulator
-        self.service = self._make_service(model)
+        self.service = self._make_service(model, SLOT_INCUMBENT)
         self._model_name = model_name
         self._model_version = model_version
         self._candidate_service: Optional[InferenceService] = None
@@ -272,10 +272,10 @@ class InferenceServer:
         self._batcher: Optional[threading.Thread] = None
         self._watchdog: Optional[threading.Thread] = None
 
-    def _make_service(self, model) -> InferenceService:
+    def _make_service(self, model, slot: str) -> InferenceService:
         return InferenceService(
             model, self.config, hook=self.hook, tracer=self.tracer,
-            simulator=self._simulator, clock=self._given_clock,
+            simulator=self._simulator, clock=self._given_clock, slot=slot,
         )
 
     @staticmethod
@@ -351,7 +351,7 @@ class InferenceServer:
         Any active canary/shadow candidate is discarded — it was being
         compared against a model that no longer serves.
         """
-        service = self._make_service(model)
+        service = self._make_service(model, SLOT_INCUMBENT)
         with self._lock:
             if self._wedged:
                 raise OverloadError(
@@ -401,7 +401,7 @@ class InferenceServer:
             margin=margin if margin is not None
             else registry_cfg.rollback_margin,
         )
-        service = self._make_service(model)
+        service = self._make_service(model, SLOT_CANDIDATE)
         with self._lock:
             if self._wedged:
                 raise OverloadError(
@@ -460,11 +460,6 @@ class InferenceServer:
                 previous=previous, reason=reason,
             )
         return label
-
-    def cancel_candidate(self) -> None:
-        """Drop the candidate slot without a verdict (no telemetry)."""
-        with self._lock:
-            self._clear_candidate_locked()
 
     def _clear_candidate_locked(self) -> None:
         self._candidate_service = None

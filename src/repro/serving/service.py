@@ -50,6 +50,7 @@ from ..telemetry.trace import Tracer
 from .admission import AdmittedBatch, Rejection, admit_masks
 from .guards import GuardReport, OutputGuard, VERDICT_DEGENERATE
 from .overload import CircuitBreaker, Deadline
+from .rollout import SLOT_INCUMBENT
 
 #: sentinel: "use config.serving.deadline_s" (None must mean "no deadline")
 _CONFIG_DEADLINE = object()
@@ -162,12 +163,16 @@ class InferenceService:
     physics fallback simulator is built lazily on first use (compact mode,
     cached kernels), so serial model-only batches never pay for it; the
     threaded ladder builds it once, up front, and its threads share it.
+
+    ``slot`` names the server slot the service was made for (the incumbent
+    or the canary candidate).  Its breaker's ``breaker`` events carry it, so
+    two slots sharing one hook keep separate breaker histories in the log.
     """
 
     def __init__(self, model, config: ExperimentConfig,
                  hook: Optional[TelemetryHook] = None,
                  tracer: Optional[Tracer] = None,
-                 simulator=None, clock=None):
+                 simulator=None, clock=None, slot: str = SLOT_INCUMBENT):
         self.model = model
         self.config = config
         self.serving = config.serving
@@ -175,12 +180,13 @@ class InferenceService:
         self.tracer = tracer if tracer is not None else Tracer()
         self.guard = OutputGuard(config)
         self.clock = clock
+        self.slot = slot
         self.breaker = CircuitBreaker(
             threshold=self.serving.breaker_threshold,
             probe_after=self.serving.breaker_probe_after,
             on_transition=lambda source, target, reason: self.hook.emit(
-                "breaker", from_state=source, to_state=target, reason=reason),
-            clock=clock,
+                "breaker", slot=self.slot, from_state=source,
+                to_state=target, reason=reason),
         )
         self._simulator = simulator
 
@@ -287,18 +293,6 @@ class InferenceService:
             attempts=tuple(attempts), cause="", seconds=0.0,
         ), False, ""
 
-    def _serve_model_clip(self, clip: int, mask: np.ndarray,
-                          mono: np.ndarray, center: np.ndarray,
-                          deadline: Deadline,
-                          use_breaker: bool) -> ServedClip:
-        """Evaluate the ladder and commit its side effects immediately."""
-        result, guard_ok, cause = self._evaluate_model_clip(
-            clip, mask, mono, center, deadline
-        )
-        self._commit_clip_effects(clip, guard_ok, cause,
-                                  use_breaker=use_breaker)
-        return result
-
     def _evaluate_breaker_clip(self, clip: int, mask: np.ndarray
                                ) -> Tuple[ServedClip, Optional[bool], str]:
         """Breaker open: simulator-only, the model is not invoked (pure)."""
@@ -323,28 +317,10 @@ class InferenceService:
             cause=CAUSE_BREAKER, seconds=0.0,
         ), None, ""
 
-    def _serve_breaker_clip(self, clip: int,
-                            mask: np.ndarray) -> ServedClip:
-        """Breaker open: evaluate and commit the fallback report."""
-        result, guard_ok, cause = self._evaluate_breaker_clip(clip, mask)
-        self._commit_clip_effects(clip, guard_ok, cause, use_breaker=False)
-        return result
-
-    def _commit_clip_effects(self, clip: int, guard_ok: Optional[bool],
-                             cause: str, use_breaker: bool) -> None:
-        """Apply one evaluated clip's breaker/hook effects, in clip order."""
-        if guard_ok is not None and use_breaker:
-            if guard_ok:
-                self.breaker.record_success()
-            else:
-                self.breaker.record_failure()
-        if cause:
-            self.hook.emit("fallback", clip=clip, cause=cause)
-
     # -- the batch loop --------------------------------------------------------
 
     def _evaluate_payload(self, payload, deadline: Deadline):
-        """Thread-pool entry: evaluate one clip's ladder, timed, statelessly."""
+        """Evaluate one clip's ladder, timed (pure: safe on pool threads)."""
         kind, clip, mask, out, center = payload
         start = time.perf_counter()
         if kind == "model":
@@ -366,13 +342,14 @@ class InferenceService:
         poisons scheduled generator outputs *after* the forward pass and
         *before* the guard — the deterministic degradation drills run on it.
 
-        When ``config.parallel.workers > 1``, the per-clip guard/retry/
-        fallback ladders of each micro-batch are evaluated concurrently on a
-        thread pool; the generator forward stays micro-batched, and all
-        stateful effects (circuit-breaker records, telemetry hooks, tracer
-        records) are committed sequentially in clip order afterwards, so
-        breaker state machines and event streams are identical to a serial
-        run.
+        Each micro-batch runs one generator forward over the clips the
+        breaker lets through, then one per-clip loop in three steps: build
+        the payloads in clip order (consuming faults), evaluate their
+        ladders, and commit the breaker and hook effects and finish the
+        clips in clip order.  Evaluation touches no shared state, so when
+        ``config.parallel.workers > 1`` a micro-batch of several clips is
+        evaluated on a thread pool; the breaker state machine and the event
+        stream stay identical to a one-thread run.
 
         Raises :class:`~repro.errors.AdmissionError` only if the batch
         container itself is malformed; per-clip problems come back as typed
@@ -391,9 +368,9 @@ class InferenceService:
             rejected=admitted.rejected, sanitized=admitted.sanitized,
         )
 
-        eval_pool: Optional[WorkerPool] = None
+        pool: Optional[WorkerPool] = None
         if self.config.parallel.workers > 1:
-            eval_pool = WorkerPool(
+            pool = WorkerPool(
                 workers=self.config.parallel.workers, backend="thread",
                 timeout_s=self.config.parallel.timeout_s,
                 tracer=self.tracer, hook=self.hook,
@@ -401,27 +378,21 @@ class InferenceService:
 
         served: List[ServedClip] = []
         micro = max(1, self.serving.micro_batch)
-        use_breaker = self.serving.fallback_enabled
-        cursor = 0
         try:
-            while cursor < admitted.admitted:
+            for cursor in range(0, admitted.admitted, micro):
                 batch_masks = admitted.masks[cursor:cursor + micro]
                 batch_indices = admitted.indices[cursor:cursor + micro]
-                cursor += len(batch_indices)
 
                 # Decide, clip by clip and in order, who may see the model.
                 # The open-state probe schedule advances on every denied
                 # clip, so a breaker can half-open mid-micro-batch.
-                overdue = deadline.exceeded()
-                allowed = [
-                    True if (overdue or not use_breaker)
-                    else self.breaker.allow_model()
-                    for _ in batch_indices
-                ]
+                use_breaker = (self.serving.fallback_enabled
+                               and not deadline.exceeded())
+                allowed = [not use_breaker or self.breaker.allow_model()
+                           for _ in batch_indices]
                 model_rows = [i for i, ok in enumerate(allowed) if ok]
 
                 forward_share = 0.0
-                mono = centers = None
                 if model_rows:
                     forward_start = time.perf_counter()
                     with self.tracer.span("serve_forward",
@@ -435,36 +406,48 @@ class InferenceService:
                     )
 
                 row_of = {row: k for k, row in enumerate(model_rows)}
-                if eval_pool is not None and len(batch_indices) > 1:
-                    served.extend(self._serve_micro_batch_parallel(
-                        eval_pool, batch_masks, batch_indices, row_of,
-                        mono, centers, deadline, faults, forward_share,
-                        use_breaker=use_breaker and not overdue,
-                    ))
-                    continue
+                payloads = []
                 for i, clip in enumerate(batch_indices):
-                    clip_start = time.perf_counter()
                     if i in row_of:
                         out = mono[row_of[i]]
                         if faults is not None:
                             out = faults.degrade_output(clip, out)
-                        result = self._serve_model_clip(
-                            clip, batch_masks[i], out, centers[row_of[i]],
-                            deadline,
-                            use_breaker=use_breaker and not overdue,
-                        )
-                        seconds = (
-                            forward_share + time.perf_counter() - clip_start
-                        )
+                        payloads.append(("model", clip, batch_masks[i], out,
+                                         centers[row_of[i]]))
                     else:
-                        result = self._serve_breaker_clip(
-                            clip, batch_masks[i]
-                        )
-                        seconds = time.perf_counter() - clip_start
+                        payloads.append(
+                            ("breaker", clip, batch_masks[i], None, None))
+
+                if pool is not None and len(payloads) > 1:
+                    # Build the fallback simulator here, once, so the
+                    # evaluation threads share it instead of racing to
+                    # construct it.
+                    self.simulator  # noqa: B018 — built on first use
+                    evaluated = pool.map(
+                        lambda payload: self._evaluate_payload(
+                            payload, deadline),
+                        payloads, task="serve_eval",
+                    )
+                else:
+                    evaluated = [self._evaluate_payload(payload, deadline)
+                                 for payload in payloads]
+
+                for i, (result, guard_ok, cause, seconds) in enumerate(
+                        evaluated):
+                    if guard_ok is not None and use_breaker:
+                        if guard_ok:
+                            self.breaker.record_success()
+                        else:
+                            self.breaker.record_failure()
+                    if cause:
+                        self.hook.emit("fallback", clip=result.clip,
+                                       cause=cause)
+                    if i in row_of:
+                        seconds += forward_share
                     served.append(self._finish_clip(result, seconds))
         finally:
-            if eval_pool is not None:
-                eval_pool.close()
+            if pool is not None:
+                pool.close()
 
         return BatchReport(
             served=tuple(served),
@@ -475,52 +458,6 @@ class InferenceService:
             breaker_state=self.breaker.state,
             seconds=time.perf_counter() - batch_start,
         )
-
-    def _serve_micro_batch_parallel(self, pool: WorkerPool, batch_masks,
-                                    batch_indices, row_of, mono, centers,
-                                    deadline: Deadline,
-                                    faults: Optional[FaultPlan],
-                                    forward_share: float,
-                                    use_breaker: bool) -> List[ServedClip]:
-        """Evaluate one micro-batch's ladders concurrently, commit in order.
-
-        Fault consumption happens here, in the main thread and in clip
-        order, *before* dispatch — identical to the serial path — and the
-        breaker/hook/tracer effects are replayed sequentially afterwards.
-        """
-        payloads = []
-        for i, clip in enumerate(batch_indices):
-            if i in row_of:
-                out = mono[row_of[i]]
-                if faults is not None:
-                    out = faults.degrade_output(clip, out)
-                payloads.append(
-                    ("model", clip, batch_masks[i], out, centers[row_of[i]])
-                )
-            else:
-                payloads.append(
-                    ("breaker", clip, batch_masks[i], None, None)
-                )
-        # Build the fallback simulator here, once, so the evaluation
-        # threads share it instead of racing to construct it.
-        self.simulator  # noqa: B018 — the property builds it on first use
-        evaluated = pool.map(
-            lambda payload: self._evaluate_payload(payload, deadline),
-            payloads, task="serve_eval",
-        )
-        results: List[ServedClip] = []
-        for i, (result, guard_ok, cause, eval_seconds) in enumerate(
-                evaluated):
-            clip = batch_indices[i]
-            self._commit_clip_effects(
-                clip, guard_ok, cause,
-                use_breaker=use_breaker and i in row_of,
-            )
-            seconds = eval_seconds + (
-                forward_share if i in row_of else 0.0
-            )
-            results.append(self._finish_clip(result, seconds))
-        return results
 
     def _finish_clip(self, result: ServedClip,
                      seconds: float) -> ServedClip:

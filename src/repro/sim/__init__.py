@@ -2,13 +2,10 @@
 
 from .pipeline import LithographySimulator, SimulatedClip
 from .process_window import ProcessWindowResult, sweep_process_window
-from .runtime import StageTimer, Tracer
 
 __all__ = [
     "LithographySimulator",
     "SimulatedClip",
-    "StageTimer",
-    "Tracer",
     "ProcessWindowResult",
     "sweep_process_window",
 ]

@@ -34,7 +34,7 @@ from ..optics import abbe_aerial_image
 from ..optics.imaging import get_imager
 from ..optics.source import annular_source
 from ..resist import DevelopedPattern, develop, resist_window_image
-from .runtime import StageTimer, Tracer
+from ..telemetry.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ class LithographySimulator:
             size=grid_size,
             extent_nm=config.tech.cropped_clip_nm,
         )
-        self.timer = StageTimer(tracer=tracer)
-        self.tracer = self.timer.tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         if rigorous:
             self._fine_source = annular_source(
                 config.optical.sigma_inner,
@@ -100,13 +99,13 @@ class LithographySimulator:
 
     def aerial_image(self, layout: MaskLayout) -> np.ndarray:
         """Optical-model stage: transmission map to aerial intensity."""
-        with self.timer.stage("rasterize"):
+        with self.tracer.span("rasterize"):
             transmission = render_transmission(layout, self.grid)
         return self._image_transmission(transmission)
 
     def _image_transmission(self, transmission: np.ndarray) -> np.ndarray:
         """Aerial intensity of an already-rasterized transmission map."""
-        with self.timer.stage("optical"):
+        with self.tracer.span("optical"):
             if self.rigorous:
                 intensity = np.zeros_like(transmission, dtype=np.float64)
                 for offset in self._focus_planes:
@@ -130,14 +129,14 @@ class LithographySimulator:
 
     def develop_pattern(self, aerial: np.ndarray) -> DevelopedPattern:
         """Resist-model stage."""
-        with self.timer.stage("resist"):
+        with self.tracer.span("resist"):
             return develop(
                 aerial, self.grid, self.config.resist, model=self.resist_model
             )
 
     def golden_window(self, pattern: DevelopedPattern) -> np.ndarray:
         """Contour-processing stage: crop + resample the target's window."""
-        with self.timer.stage("contour"):
+        with self.tracer.span("contour"):
             return resist_window_image(
                 pattern,
                 self.clip_center,
@@ -190,7 +189,7 @@ class LithographySimulator:
         training resolution; raises :class:`ResistError` when the target
         fails to print (the caller decides how to degrade further).
         """
-        with self.timer.stage("rasterize"):
+        with self.tracer.span("rasterize"):
             transmission = self.transmission_from_mask_image(mask_rgb)
         aerial = self._image_transmission(transmission)
         pattern = self.develop_pattern(aerial)

@@ -5,12 +5,12 @@ future performance claim.  The pieces:
 
 ``repro.telemetry.metrics``
     ``Counter`` / ``Gauge`` / ``Histogram`` and the labeled
-    :class:`MetricsRegistry` with deterministic JSON export and
-    cross-process snapshot merging.
+    :class:`MetricsRegistry` with deterministic JSON export.
 ``repro.telemetry.trace``
     Nested context-manager :class:`Span` tracing via :class:`Tracer`, with
-    stable trace/span/parent IDs that survive worker-pool fan-out; backs
-    the re-exported :class:`~repro.sim.runtime.StageTimer`.
+    stable trace/span/parent IDs that survive worker-pool fan-out.  Worker
+    shards ship their spans back, and :meth:`Tracer.record_into` turns the
+    merged spans into the stage metrics.
 ``repro.telemetry.events``
     The event table :data:`EVENTS` (each event defined once) and the
     schema-versioned JSONL :class:`RunLogger` (crash-tolerant, incremental).
@@ -36,14 +36,10 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    activate_registry,
-    get_active_registry,
-    get_registry,
 )
 from .trace import (
     Span,
     SpanRecord,
-    StageTimer,
     TraceContext,
     Tracer,
     activate_tracer,
@@ -82,12 +78,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "activate_registry",
-    "get_active_registry",
-    "get_registry",
     "Span",
     "SpanRecord",
-    "StageTimer",
     "TraceContext",
     "Tracer",
     "activate_tracer",

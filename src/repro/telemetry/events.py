@@ -133,7 +133,8 @@ def _rollback_counter(registry: MetricsRegistry,
 def _breaker_gauge(registry: MetricsRegistry,
                    fields: Mapping[str, Any]) -> None:
     code = {"closed": 0, "half_open": 1, "open": 2}.get(fields["to_state"], -1)
-    registry.gauge("serve_breaker_state").set(code)
+    registry.gauge("serve_breaker_state",
+                   labels={"slot": fields["slot"]}).set(code)
 
 
 def _active_version(registry: MetricsRegistry,
@@ -203,11 +204,12 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
           "cause.",
           {"clip": _integer, "cause": _given},
           (_inc("serve_fallbacks_total", "cause"),)),
-    Event("breaker", "The serving circuit breaker changed state.",
-          {"from_state": _one_of(*BREAKER_STATES),
+    Event("breaker", "A serving slot's circuit breaker changed state.",
+          {"slot": _given,
+           "from_state": _one_of(*BREAKER_STATES),
            "to_state": _one_of(*BREAKER_STATES)},
           (_breaker_gauge, _inc("serve_breaker_transitions_total",
-                                "to_state"))),
+                                "slot", "to_state"))),
     Event("queue_full", "The serving work queue refused a push at capacity.",
           {"depth": _count, "capacity": _count},
           (_inc("serve_queue_full_total"),), rule=_at_capacity),
@@ -409,10 +411,11 @@ def validate_run_log(events: List[Dict[str, Any]],
     and a logged event type from :data:`EVENTS`, whose row's field checks
     it must pass.  Four rules span events: ``seq`` strictly increases;
     epochs strictly increase within a phase, except that a ``rollback``
-    rewinds its phase to the restored epoch; ``breaker`` transitions follow
-    the closed/open/half-open state machine from a closed breaker; and
-    (unless ``require_run_end=False``, for crash-truncated logs) the stream
-    opens with ``run_start`` and ends with ``run_end``.  Raises
+    rewinds its phase to the restored epoch; each slot's ``breaker``
+    transitions follow the closed/open/half-open state machine from a
+    closed breaker; and (unless ``require_run_end=False``, for
+    crash-truncated logs) the stream opens with ``run_start`` and ends
+    with ``run_end``.  Raises
     :class:`TelemetryError` on the first violation.
     """
     if not events:
@@ -425,7 +428,8 @@ def validate_run_log(events: List[Dict[str, Any]],
     run_id = first.get("run_id")
     last_seq = -1
     last_epoch: Dict[str, int] = {}
-    breaker_state = "closed"  # a serve run always starts with a closed breaker
+    # every slot's breaker starts a serve run closed
+    breaker_states: Dict[str, str] = {}
     for index, record in enumerate(events):
         for key in ("schema_version", "run_id", "seq", "event", "time_unix"):
             if key not in record:
@@ -471,12 +475,14 @@ def validate_run_log(events: List[Dict[str, Any]],
                     f"breaker {index} records illegal transition "
                     f"{source!r} -> {target!r}"
                 )
-            if source != breaker_state:
+            slot = record["slot"]
+            state = breaker_states.get(slot, "closed")
+            if source != state:
                 raise TelemetryError(
                     f"breaker {index} transitions from {source!r} but the "
-                    f"breaker was {breaker_state!r}"
+                    f"{slot} breaker was {state!r}"
                 )
-            breaker_state = target
+            breaker_states[slot] = target
         elif event == "run_end" and index != len(events) - 1:
             raise TelemetryError("run_end must be the final event")
     if require_run_end and events[-1]["event"] != "run_end":

@@ -149,9 +149,9 @@ class Histogram:
                    for bound, count in zip(self.buckets, self._counts)},
                 "le_inf": self._counts[-1],
             },
-            # explicit parallel arrays: the machine-mergeable form (the
-            # le_-keyed dict above is for human diffing; %g formatting is
-            # lossy, so merges and the Prometheus exporter use these)
+            # explicit parallel arrays: the exact form (the le_-keyed dict
+            # above is for human diffing; %g formatting is lossy, so the
+            # Prometheus exporter reads these)
             "bucket_bounds": list(self.buckets),
             "bucket_counts": list(self._counts),
             "quantiles": {
@@ -160,40 +160,6 @@ class Histogram:
                 "p99": self.quantile(0.99),
             },
         }
-
-    def merge_dict(self, data: Mapping) -> None:
-        """Fold an exported histogram (``to_dict`` form) into this one.
-
-        Requires identical bucket bounds — a worker and its parent always
-        share them because the worker-side registry is built from the same
-        config. Fail-closed otherwise: silently resampling into different
-        buckets would corrupt quantiles.
-        """
-        bounds = data.get("bucket_bounds")
-        counts = data.get("bucket_counts")
-        if bounds is None or counts is None:
-            raise TelemetryError(
-                "histogram snapshot lacks bucket_bounds/bucket_counts "
-                "(exported by an older schema?); cannot merge"
-            )
-        if tuple(bounds) != self.buckets:
-            raise TelemetryError(
-                f"cannot merge histograms with different buckets: "
-                f"{tuple(bounds)} vs {self.buckets}"
-            )
-        if len(counts) != len(self._counts):
-            raise TelemetryError(
-                f"histogram snapshot has {len(counts)} bucket counts, "
-                f"expected {len(self._counts)}"
-            )
-        for i, count in enumerate(counts):
-            self._counts[i] += int(count)
-        merged = int(data.get("count", 0))
-        self._count += merged
-        self._sum += float(data.get("sum", 0.0))
-        if merged:
-            self._min = min(self._min, float(data.get("min", self._min)))
-            self._max = max(self._max, float(data.get("max", self._max)))
 
 
 _METRIC_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -283,43 +249,6 @@ class MetricsRegistry:
         """Schema-versioned export, the ``--metrics-out`` file format."""
         return {"schema_version": 1, "metrics": self.snapshot()}
 
-    # -- merging ------------------------------------------------------------
-
-    def merge_snapshot(self, data: Mapping) -> None:
-        """Fold an exported snapshot (a worker's registry) into this one.
-
-        Accepts either a bare :meth:`snapshot` mapping or the
-        :meth:`to_dict` wrapper.  Counters add, histograms merge bucket-wise
-        (same bounds required), gauges are last-write-wins in merge order —
-        fold shards in submission order so the result is deterministic.
-        """
-        if "schema_version" in data and "metrics" in data:
-            data = data["metrics"]
-        for name in sorted(data):
-            family = data[name]
-            kind = family.get("type")
-            if kind not in _METRIC_TYPES:
-                raise TelemetryError(
-                    f"metrics snapshot family {name!r} has unknown type "
-                    f"{kind!r}"
-                )
-            for series in family.get("series", ()):
-                labels = series.get("labels", {})
-                if kind == "counter":
-                    self.counter(name, labels=labels,
-                                 help=family.get("help", "")).inc(
-                                     float(series.get("value", 0.0)))
-                elif kind == "gauge":
-                    self.gauge(name, labels=labels,
-                               help=family.get("help", "")).set(
-                                   float(series.get("value", 0.0)))
-                else:
-                    bounds = series.get("bucket_bounds")
-                    child = self.histogram(
-                        name, labels=labels, help=family.get("help", ""),
-                        buckets=bounds if bounds else None)
-                    child.merge_dict(series)
-
     def clear(self) -> None:
         with self._lock:
             self._families.clear()
@@ -329,39 +258,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._families)
-
-
-#: process-global registry — the default sink when callers don't bring their own
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-global :class:`MetricsRegistry`."""
-    return _GLOBAL_REGISTRY
-
-
-# ---------------------------------------------------------------------------
-# Ambient (thread-local) registry for worker shards
-# ---------------------------------------------------------------------------
-
-_ACTIVE = threading.local()
-
-
-def activate_registry(registry: Optional[MetricsRegistry],
-                      ) -> Optional[MetricsRegistry]:
-    """Install a shard-local registry as this thread's ambient one.
-
-    Mirrors :func:`repro.telemetry.trace.activate_tracer`: the worker pool
-    points the ambient slot at a fresh registry around each shard, the shard
-    records into it via :func:`get_active_registry`, and the delta ships back
-    with the shard result for :meth:`MetricsRegistry.merge_snapshot` in the
-    parent.  Returns the previous value; restore it in ``finally``.
-    """
-    previous = getattr(_ACTIVE, "registry", None)
-    _ACTIVE.registry = registry
-    return previous
-
-
-def get_active_registry() -> Optional[MetricsRegistry]:
-    """This thread's ambient registry, or None outside an instrumented shard."""
-    return getattr(_ACTIVE, "registry", None)

@@ -4,9 +4,9 @@ A :class:`Tracer` hands out context-manager :class:`Span`\\ s.  Spans nest
 (the tracer keeps one active stack per thread, so each finished record knows
 its depth and parent, and concurrent threads never parent under each other's
 spans), carry arbitrary metadata, and accumulate into per-name totals —
-which is exactly the accounting the Table 4 runtime comparison needs, so the
-historical :class:`StageTimer` API is now a thin veneer over a ``Tracer`` and
-is re-exported unchanged from :mod:`repro.sim.runtime`.
+which is exactly the accounting the Table 4 runtime comparison needs: the
+simulator times its ``rasterize``/``optical``/``resist``/``contour`` stages
+as spans on its ``Tracer``.
 
 Since the observability-plane PR, every span also carries **stable
 identifiers**: a ``trace_id`` naming the whole run's trace, a ``span_id``
@@ -55,9 +55,6 @@ class TraceContext:
 
     trace_id: str
     parent_span_id: Optional[str] = None
-
-    def to_tuple(self) -> Tuple[str, Optional[str]]:
-        return (self.trace_id, self.parent_span_id)
 
 
 @dataclass
@@ -264,11 +261,6 @@ class Tracer:
         with self._lock:
             return dict(self._totals)
 
-    def merge(self, other: "Tracer") -> None:
-        """Fold another tracer's finished spans into this one."""
-        for record in other.records:
-            self._append(record)
-
     def absorb(self, records: Iterable[dict]) -> None:
         """Fold serialized :class:`SpanRecord` dicts (a worker's spans) in.
 
@@ -323,35 +315,3 @@ def activate_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
 def get_active_tracer() -> Optional[Tracer]:
     """This thread's ambient tracer, or None outside an instrumented shard."""
     return getattr(_ACTIVE, "tracer", None)
-
-
-class StageTimer:
-    """Accumulates wall-clock seconds per named pipeline stage.
-
-    Historically a standalone dict-of-totals; now backed by a :class:`Tracer`
-    so Table 4 accounting and span tracing share one measurement substrate.
-    The public API is unchanged from the original.
-    """
-
-    def __init__(self, tracer: Optional[Tracer] = None) -> None:
-        self.tracer = tracer if tracer is not None else Tracer()
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        with self.tracer.span(name):
-            yield
-
-    def total(self, name: str) -> float:
-        return self.tracer.total(name)
-
-    def count(self, name: str) -> int:
-        return self.tracer.count(name)
-
-    def mean(self, name: str) -> float:
-        return self.tracer.mean(name)
-
-    def as_dict(self) -> Dict[str, float]:
-        return self.tracer.totals()
-
-    def merge(self, other: "StageTimer") -> None:
-        self.tracer.merge(other.tracer)

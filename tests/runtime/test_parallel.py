@@ -19,7 +19,6 @@ from repro.telemetry import (
     MetricsRegistry,
     RunLoggerHook,
     Tracer,
-    get_active_registry,
     get_active_tracer,
 )
 
@@ -57,14 +56,10 @@ def _sleep_forever(x):
 
 def _traced_double(x):
     # Worker-side telemetry: the pool installs a shard-local ambient tracer
-    # and registry before calling us; spans and counts recorded here must
-    # surface in the parent's merged trace and registry.
-    tracer = get_active_tracer()
-    registry = get_active_registry()
-    with tracer.span("inner_stage", item=int(x)):
+    # before calling us; spans recorded here must surface in the parent's
+    # merged trace.
+    with get_active_tracer().span("inner_stage", item=int(x)):
         pass
-    registry.counter("work_items_total").inc()
-    registry.histogram("item_value", buckets=(2.0, 8.0)).observe(float(x))
     return x * 2
 
 
@@ -380,13 +375,21 @@ class TestTracePropagation:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_worker_metrics_aggregate_to_serial_totals(self, backend):
-        _, serial = self._run("serial")
-        _, parallel = self._run(backend)
-        assert parallel.snapshot() == serial.snapshot()
-        items = parallel.counter("work_items_total")
-        assert items.value == 4.0
-        hist = parallel.snapshot()["item_value"]["series"][0]
-        assert hist["count"] == 4
+        # Shards ship spans only; the absorbed spans become the parent's
+        # stage counters through Tracer.record_into.
+        def counts(tracer, registry):
+            tracer.record_into(registry)
+            return {
+                (name, tuple(sorted(series["labels"].items()))):
+                    series.get("value", series.get("count"))
+                for name, family in registry.snapshot().items()
+                for series in family["series"]
+            }
+
+        serial = counts(*self._run("serial"))
+        parallel = counts(*self._run(backend))
+        assert parallel == serial
+        assert parallel[("stages_total", (("stage", "inner_stage"),))] == 4
 
     def test_worker_spans_survive_repeated_maps_without_collisions(self):
         tracer = Tracer()
@@ -402,4 +405,4 @@ class TestTracePropagation:
                         registry=registry) as pool:
             results = pool.map(_square, range(4), task="job")
         assert results == [0, 1, 4, 9]
-        assert "work_items_total" not in registry
+        assert list(registry.snapshot()) == ["parallel_tasks_total"]

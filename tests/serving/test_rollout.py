@@ -14,6 +14,7 @@ import pytest
 import numpy as np
 
 from repro.errors import OverloadError, ServingError
+from repro.runtime import FaultPlan
 from repro.serving import (
     InferenceServer,
     MODE_SHADOW,
@@ -179,8 +180,50 @@ class TestHotSwap:
         server.start_canary(golden_model, version=2)
         with pytest.raises(OverloadError):
             server.start_canary(golden_model, version=3)
-        server.cancel_candidate()
+        server.swap_model(golden_model)  # a swap drops the candidate
         server.start_canary(golden_model, version=3)
+
+
+class TestCanaryBreakers:
+    def test_each_slot_keeps_its_own_breaker_in_the_run_log(
+            self, golden_model, tiny_dataset, tiny_config, serving_config,
+            tmp_path):
+        """Both slots trip their breakers on one hook; the log validates.
+
+        The incumbent and the candidate each own a circuit breaker but
+        share the server's hook.  One request per batch, routed alternately,
+        every output poisoned: with a threshold of 2 each slot opens on its
+        second clip, so the log holds two ``closed -> open`` edges.
+        """
+        config = serving_config(tiny_config, breaker_threshold=2)
+        plan = FaultPlan(seed=0)
+        for request in range(4):
+            plan.inject_degenerate(request)
+        log = tmp_path / "canary.jsonl"
+        registry = MetricsRegistry()
+        with RunLogger(log) as logger:
+            logger.emit("run_start", command="serve")
+            hook = RunLoggerHook(logger=logger, registry=registry)
+            with InferenceServer(golden_model, config, hook=hook,
+                                 faults=plan) as server:
+                server.start_canary(golden_model, fraction=0.5)
+                for mask in tiny_dataset.masks[:4]:
+                    server.submit(mask).result(timeout=RESOLVE_TIMEOUT)
+            logger.emit("run_end", status="ok")
+
+        events = read_run_log(log)
+        validate_run_log(events)
+        assert [(e["slot"], e["from_state"], e["to_state"])
+                for e in events if e["event"] == "breaker"] == [
+            (SLOT_INCUMBENT, "closed", "open"),
+            (SLOT_CANDIDATE, "closed", "open"),
+        ]
+        for slot in (SLOT_INCUMBENT, SLOT_CANDIDATE):
+            assert registry.gauge(
+                "serve_breaker_state", labels={"slot": slot}).value == 2
+            assert registry.counter(
+                "serve_breaker_transitions_total",
+                labels={"slot": slot, "to_state": "open"}).value == 1
 
 
 # ---------------------------------------------------------------------------

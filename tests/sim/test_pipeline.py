@@ -6,6 +6,7 @@ import pytest
 from repro.config import N10, reduced, tiny
 from repro.layout import ArrayType, generate_clip
 from repro.sim import LithographySimulator
+from repro.telemetry import Tracer
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +40,14 @@ class TestSimulateClip:
         simulator = LithographySimulator(config)
         simulator.simulate_clip(clip)
         for stage in ("rasterize", "optical", "resist", "contour"):
-            assert simulator.timer.count(stage) >= 1
-            assert simulator.timer.total(stage) > 0
+            assert simulator.tracer.count(stage) >= 1
+            assert simulator.tracer.total(stage) > 0
+
+    def test_stages_land_on_a_shared_tracer(self, config, clip):
+        tracer = Tracer()
+        for _ in range(2):
+            LithographySimulator(config, tracer=tracer).simulate_clip(clip)
+        assert tracer.count("contour") == 2
 
     def test_rigorous_mode_matches_compact_shape(self, config, clip):
         compact = LithographySimulator(config).simulate_clip(clip)
@@ -60,7 +67,7 @@ class TestSimulateClip:
         compact.simulate_clip(clip)
         compact.simulate_clip(clip)  # second run: imager is cached
         rigorous.simulate_clip(clip)
-        assert rigorous.timer.total("optical") > compact.timer.mean("optical")
+        assert rigorous.tracer.total("optical") > compact.tracer.mean("optical")
 
     def test_different_array_types_print_differently(self, simulator, config):
         rng = np.random.default_rng(5)

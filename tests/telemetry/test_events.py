@@ -159,6 +159,33 @@ class TestValidation:
         with pytest.raises(TelemetryError):
             validate_run_log(events)
 
+    def _breaker_run(self, path, edges):
+        with RunLogger(path) as logger:
+            logger.emit("run_start", command="serve")
+            for slot, source, target in edges:
+                logger.emit("breaker", slot=slot, from_state=source,
+                            to_state=target, reason="test")
+            logger.emit("run_end", status="ok")
+        return read_run_log(path)
+
+    def test_each_slot_runs_its_own_breaker_state_machine(self, tmp_path):
+        validate_run_log(self._breaker_run(tmp_path / "r.jsonl", [
+            ("incumbent", "closed", "open"),
+            ("candidate", "closed", "open"),
+            ("incumbent", "open", "half_open"),
+            ("candidate", "open", "half_open"),
+        ]))
+
+    def test_breaker_edge_from_the_wrong_state_rejected(self, tmp_path):
+        events = self._breaker_run(tmp_path / "r.jsonl", [
+            ("incumbent", "closed", "open"),
+            ("incumbent", "closed", "open"),
+        ])
+        with pytest.raises(TelemetryError,
+                           match="from 'closed' but the incumbent breaker "
+                                 "was 'open'"):
+            validate_run_log(events)
+
 
 #: a minimal valid body (exactly the required fields) for every logged row
 MINIMAL = {
@@ -170,7 +197,8 @@ MINIMAL = {
     "eval_end": {},
     "admission": {"admitted": 3, "rejected": 0},
     "fallback": {"clip": 2, "cause": "degenerate"},
-    "breaker": {"from_state": "closed", "to_state": "open"},
+    "breaker": {"slot": "incumbent", "from_state": "closed",
+                "to_state": "open"},
     "queue_full": {"depth": 4, "capacity": 4},
     "shed": {"request": 7, "tenant": "opc", "reason": "quota"},
     "model_swap": {"model": "litho", "reason": "swap"},

@@ -4,9 +4,10 @@
 direct ``RunLogger`` writes that the event table replaced: one entry per
 callback (plus the branches of the ones whose metrics branch), per
 command-line write, and for one inverse-lithography run, each into a fresh
-log and registry.  Records omit ``time_unix`` and ``run_id``.  Driving the
-same events through ``hook.emit`` must reproduce every entry, except for
-the differences listed in ``ALLOWED``.
+log and registry.  Records omit ``time_unix`` and ``run_id``.  The two
+``breaker`` entries were edited afterwards to add the ``slot`` field and
+metric label.  Driving the same events through ``hook.emit`` must
+reproduce every entry, except for the differences listed in ``ALLOWED``.
 """
 
 import json
@@ -57,10 +58,11 @@ CALLS = {
     "on_clip_served": _emit("clip_served", clip=3, provenance="model",
                             verdict="ok", seconds=0.02),
     "on_fallback": _emit("fallback", clip=4, cause="degenerate"),
-    "on_breaker": _emit("breaker", from_state="closed", to_state="open",
-                        reason="consecutive_failures"),
+    "on_breaker": _emit("breaker", slot="incumbent", from_state="closed",
+                        to_state="open", reason="consecutive_failures"),
     "on_breaker[half_open]": _emit(
-        "breaker", from_state="open", to_state="half_open", reason="probe"),
+        "breaker", slot="incumbent", from_state="open", to_state="half_open",
+        reason="probe"),
     "on_queue_full": _emit("queue_full", depth=8, capacity=8),
     "on_shed": _emit("shed", request=17, tenant="opc", reason="quota"),
     "on_queue_depth": _emit("queue_depth", depth=5),

@@ -10,7 +10,6 @@ from repro.telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
 )
 
 
@@ -136,13 +135,9 @@ class TestMetricsRegistry:
         registry.clear()
         assert len(registry) == 0
 
-    def test_global_registry_is_a_singleton(self):
-        assert get_registry() is get_registry()
-        assert isinstance(get_registry(), MetricsRegistry)
-
 
 class TestHistogramExportArrays:
-    """The machine-mergeable bucket arrays behind --metrics-out."""
+    """The exact bucket arrays the Prometheus exporter reads."""
 
     def test_to_dict_carries_parallel_bucket_arrays(self):
         hist = Histogram(buckets=(0.5, 1.0))
@@ -153,106 +148,3 @@ class TestHistogramExportArrays:
         assert payload["bucket_counts"] == [1, 1, 1]
         # the legacy human-readable dict stays alongside
         assert payload["buckets"]["le_inf"] == 1
-
-    def test_merge_dict_adds_counts_and_extremes(self):
-        a = Histogram(buckets=(1.0, 10.0))
-        b = Histogram(buckets=(1.0, 10.0))
-        a.observe(0.5)
-        b.observe(5.0)
-        b.observe(50.0)
-        a.merge_dict(b.to_dict())
-        assert a.count == 3
-        assert a.sum == pytest.approx(55.5)
-        assert a.to_dict()["bucket_counts"] == [1, 1, 1]
-        assert a.to_dict()["max"] == pytest.approx(50.0)
-
-    def test_merge_of_empty_histogram_keeps_extremes_untouched(self):
-        a = Histogram(buckets=(1.0,))
-        a.observe(0.5)
-        a.merge_dict(Histogram(buckets=(1.0,)).to_dict())
-        assert a.count == 1
-        assert a.to_dict()["min"] == pytest.approx(0.5)
-
-    def test_merge_rejects_mismatched_bounds(self):
-        a = Histogram(buckets=(1.0, 10.0))
-        with pytest.raises(TelemetryError):
-            a.merge_dict(Histogram(buckets=(1.0, 5.0)).to_dict())
-
-    def test_merge_rejects_legacy_payload_without_arrays(self):
-        a = Histogram(buckets=(1.0,))
-        with pytest.raises(TelemetryError):
-            a.merge_dict({"type": "histogram", "count": 1, "sum": 0.5,
-                          "buckets": {"le_1": 1}})
-
-
-class TestRegistryMerge:
-    def _worker_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("work_items_total").inc(4)
-        registry.gauge("queue_depth").set(2.0)
-        registry.histogram("latency", buckets=(0.1, 1.0)).observe(0.05)
-        return registry
-
-    def test_merge_snapshot_accepts_bare_and_wrapped_forms(self):
-        for exported in (self._worker_registry().snapshot(),
-                         self._worker_registry().to_dict()):
-            parent = MetricsRegistry()
-            parent.merge_snapshot(exported)
-            snap = parent.snapshot()
-            assert snap["work_items_total"]["series"][0]["value"] == 4.0
-
-    def test_counters_add_and_gauges_last_write_win(self):
-        parent = MetricsRegistry()
-        parent.counter("work_items_total").inc(1)
-        parent.gauge("queue_depth").set(9.0)
-        parent.merge_snapshot(self._worker_registry().snapshot())
-        snap = parent.snapshot()
-        assert snap["work_items_total"]["series"][0]["value"] == 5.0
-        assert snap["queue_depth"]["series"][0]["value"] == 2.0
-
-    def test_histograms_merge_bucket_wise(self):
-        parent = MetricsRegistry()
-        parent.histogram("latency", buckets=(0.1, 1.0)).observe(0.5)
-        parent.merge_snapshot(self._worker_registry().snapshot())
-        series = parent.snapshot()["latency"]["series"][0]
-        assert series["bucket_counts"] == [1, 1, 0]
-        assert series["count"] == 2
-
-    def test_merge_order_independent_for_counters(self):
-        shards = []
-        for value in (1, 2, 3):
-            registry = MetricsRegistry()
-            registry.counter("work_items_total").inc(value)
-            shards.append(registry.snapshot())
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for snap in shards:
-            forward.merge_snapshot(snap)
-        for snap in reversed(shards):
-            backward.merge_snapshot(snap)
-        assert forward.snapshot() == backward.snapshot()
-
-    def test_merged_equals_serial_for_sharded_work(self):
-        # the acceptance property behind worker metrics aggregation: N
-        # workers counting their shares must sum to the serial count
-        serial = MetricsRegistry()
-        serial.counter("clips_processed_total").inc(8)
-        parent = MetricsRegistry()
-        for _ in range(4):
-            worker = MetricsRegistry()
-            worker.counter("clips_processed_total").inc(2)
-            parent.merge_snapshot(worker.snapshot())
-        assert parent.snapshot() == serial.snapshot()
-
-    def test_labeled_series_merge_into_matching_series(self):
-        worker = MetricsRegistry()
-        worker.counter("stages_total", labels={"stage": "optical"}).inc(3)
-        parent = MetricsRegistry()
-        parent.counter("stages_total", labels={"stage": "optical"}).inc(1)
-        parent.counter("stages_total", labels={"stage": "resist"}).inc(1)
-        parent.merge_snapshot(worker.snapshot())
-        values = {
-            tuple(sorted(series["labels"].items())): series["value"]
-            for series in parent.snapshot()["stages_total"]["series"]
-        }
-        assert values[(("stage", "optical"),)] == 4.0
-        assert values[(("stage", "resist"),)] == 1.0

@@ -1,6 +1,7 @@
 """Run health reports: correlation, fail-closed inputs, forward compat."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.telemetry import (
     write_metrics,
 )
 from repro.telemetry.profile import LayerStats, ProfileReport
+
+HERE = Path(__file__).parent
 
 
 def _write_good_log(path):
@@ -198,3 +201,39 @@ class TestSweepSection:
         _write_good_log(log)
         report = build_report(log)
         assert "sweep:" not in report.format_text()
+
+
+class TestGoldenLog:
+    """The report over every logged event of ``golden_events.json``.
+
+    ``golden_report.txt`` and ``golden_report.json`` beside the fixture
+    pin the text and JSON forms byte for byte.
+    """
+
+    def _write_golden_log(self, path):
+        runs = 0
+        logger = None
+        for entry in json.loads((HERE / "golden_events.json").read_text()):
+            for record in entry["records"]:
+                if record["event"] == "run_start":
+                    if logger is not None:
+                        logger.close()
+                    runs += 1
+                    logger = RunLogger(path, run_id=f"run-golden-{runs}")
+                fields = {key: value for key, value in record.items()
+                          if key not in ("schema_version", "seq", "event")}
+                logger.emit(record["event"], **fields)
+        logger.close()
+
+    def test_report_matches_the_recording(self, tmp_path):
+        log = tmp_path / "golden.jsonl"
+        self._write_golden_log(log)
+        report = build_report(log)
+        assert [run.events for run in report.runs] == [27, 12]
+        assert all(report.incidents.values())
+        payload = report.to_dict()
+        payload["sources"]["log"] = log.name
+        assert report.format_text() + "\n" == (
+            HERE / "golden_report.txt").read_text()
+        assert json.dumps(payload, indent=2) + "\n" == (
+            HERE / "golden_report.json").read_text()

@@ -1,14 +1,20 @@
 """Cross-module integration at tiny scale.
 
 These tests exercise the seams between subsystems rather than any single
-module: mint -> persist -> train -> predict -> score, and the physical
+module: mint -> persist -> train -> predict -> score, the physical
 consistency between the mask images the models see and the golden patterns
-the simulator minted.
+the simulator minted, and the simulation examples run as scripts.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines import CompactVtrFlow
 from repro.core import LithoGan
 from repro.data import load_dataset, save_dataset
@@ -94,3 +100,19 @@ class TestPhysicalConsistency:
         for i in range(len(tiny_dataset)):
             center = bbox_center_rc(tiny_dataset.resists[i, 0])
             assert np.allclose(tiny_dataset.centers[i], center)
+
+
+class TestExamples:
+    @pytest.mark.parametrize("script", [
+        "litho_simulation.py", "process_window_study.py",
+    ])
+    def test_simulation_example_runs(self, script):
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, str(root / "examples" / script)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
