@@ -40,9 +40,11 @@ def pad_image(x: np.ndarray, padding: Padding) -> np.ndarray:
     top, bottom, left, right = padding
     if not any(padding):
         return x
-    return np.pad(
-        x, ((0, 0), (0, 0), (top, bottom), (left, right)), mode="constant"
-    )
+    n, c, height, width = x.shape
+    out = np.zeros((n, c, top + height + bottom, left + width + right),
+                   dtype=x.dtype)
+    out[:, :, top : top + height, left : left + width] = x
+    return out
 
 
 def crop_image(x: np.ndarray, padding: Padding) -> np.ndarray:

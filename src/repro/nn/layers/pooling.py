@@ -9,7 +9,12 @@ from .base import Layer
 
 
 class MaxPool2D(Layer):
-    """Non-overlapping max pooling: ``size == stride``."""
+    """Non-overlapping max pooling: ``size == stride``.
+
+    ``forward`` caches its input and output only; ``backward`` builds the
+    gradient routing mask from them, so an inference forward pays for the
+    max alone.
+    """
 
     op_name = "P"
 
@@ -31,22 +36,25 @@ class MaxPool2D(Layer):
         return f"{self.size}x{self.size},{self.size}"
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         s = self.size
         if h % s or w % s:
             raise ShapeError(f"input {h}x{w} is not divisible by pool size {s}")
-        windows = x.reshape(n, c, h // s, s, w // s, s)
-        out = windows.max(axis=(3, 5))
-        # Gradient routing mask; ties split the gradient evenly.
-        expanded = out[:, :, :, None, :, None]
-        mask = (windows == expanded).astype(np.float32)
-        counts = mask.sum(axis=(3, 5), keepdims=True)
-        self._cache = (mask / counts, x.shape)
+        out = x[:, :, ::s, ::s].copy()
+        for i in range(s):
+            for j in range(s):
+                if i or j:
+                    np.maximum(out, x[:, :, i::s, j::s], out=out)
+        self._cache = (x, out)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        mask, x_shape = self._require_cache(self._cache)
-        n, c, h, w = x_shape
+        x, out = self._require_cache(self._cache)
+        n, c, h, w = x.shape
         s = self.size
-        grad_windows = grad[:, :, :, None, :, None] * mask
+        windows = x.reshape(n, c, h // s, s, w // s, s)
+        # Gradient routing mask; ties split the gradient evenly.
+        mask = (windows == out[:, :, :, None, :, None]).astype(np.float32)
+        counts = mask.sum(axis=(3, 5), keepdims=True)
+        grad_windows = grad[:, :, :, None, :, None] * (mask / counts)
         return grad_windows.reshape(n, c, h, w)

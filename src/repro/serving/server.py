@@ -368,7 +368,7 @@ class InferenceServer:
             self.hook.emit(
                 "model_swap", model=name,
                 version=str(version) if version is not None else label,
-                previous=previous, reason=reason,
+                previous=previous, reason=reason, slot=SLOT_INCUMBENT,
             )
         return label
 
@@ -422,7 +422,7 @@ class InferenceServer:
             self.hook.emit(
                 "model_swap", model=name,
                 version=str(version) if version is not None else label,
-                previous=self.model_label, reason=mode,
+                previous=self.model_label, reason=mode, slot=SLOT_CANDIDATE,
             )
         return label
 
@@ -431,7 +431,8 @@ class InferenceServer:
 
         Promotion is caller-driven — the controller only ever *rolls back*
         automatically.  The swap is atomic at the batch boundary exactly
-        like :meth:`swap_model`.
+        like :meth:`swap_model`, and the promoted model serves through a
+        fresh incumbent-slot service with a closed breaker.
         """
         with self._lock:
             if self._candidate_service is None or self._rollout is None:
@@ -440,7 +441,8 @@ class InferenceServer:
                 )
             rates = self._rollout.rates()
             previous = self.model_label
-            self.service = self._candidate_service
+            self.service = self._make_service(
+                self._candidate_service.model, SLOT_INCUMBENT)
             self._model_name = self._candidate_name
             self._model_version = self._candidate_version
             self._swaps += 1
@@ -457,7 +459,7 @@ class InferenceServer:
             self.hook.emit(
                 "model_swap", model=name,
                 version=str(version) if version is not None else label,
-                previous=previous, reason=reason,
+                previous=previous, reason=reason, slot=SLOT_INCUMBENT,
             )
         return label
 

@@ -218,8 +218,8 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
           (_inc("serve_shed_total", "tenant"),)),
     Event("queue_depth", "The serving-loop queue depth after a transition.",
           {}, (_set("serve_queue_depth", "depth"),), logged=False),
-    Event("model_swap", "The serving model slot changed at a batch "
-          "boundary.",
+    Event("model_swap", "A model filled a serving slot (named by slot) at "
+          "a batch boundary, or a registry pointer moved (no slot).",
           {"model": _given, "reason": _given},
           (_inc("serve_model_swaps_total", "model"), _active_version)),
     Event("canary_verdict", "A canary or shadow rollout reached a verdict.",
@@ -413,7 +413,8 @@ def validate_run_log(events: List[Dict[str, Any]],
     epochs strictly increase within a phase, except that a ``rollback``
     rewinds its phase to the restored epoch; each slot's ``breaker``
     transitions follow the closed/open/half-open state machine from a
-    closed breaker; and (unless ``require_run_end=False``, for
+    closed breaker, which a ``model_swap`` naming the slot closes again;
+    and (unless ``require_run_end=False``, for
     crash-truncated logs) the stream opens with ``run_start`` and ends
     with ``run_end``.  Raises
     :class:`TelemetryError` on the first violation.
@@ -483,6 +484,9 @@ def validate_run_log(events: List[Dict[str, Any]],
                     f"{slot} breaker was {state!r}"
                 )
             breaker_states[slot] = target
+        elif event == "model_swap" and record.get("slot"):
+            # a new service fills the slot, with a new closed breaker
+            breaker_states[record["slot"]] = "closed"
         elif event == "run_end" and index != len(events) - 1:
             raise TelemetryError("run_end must be the final event")
     if require_run_end and events[-1]["event"] != "run_end":

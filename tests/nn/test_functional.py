@@ -46,6 +46,21 @@ class TestPadCrop:
         x = np.zeros((1, 1, 4, 4), dtype=np.float32)
         assert pad_image(x, (0, 0, 0, 0)) is x
 
+    @pytest.mark.parametrize("padding", [
+        (1, 2, 3, 0), (0, 3, 0, 1), (2, 0, 0, 0), (0, 0, 1, 2), (3, 3, 3, 3),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_np_pad_bytes(self, padding, dtype):
+        x = np.random.default_rng(1).normal(size=(2, 3, 5, 7)).astype(dtype)
+        top, bottom, left, right = padding
+        expected = np.pad(
+            x, ((0, 0), (0, 0), (top, bottom), (left, right)), mode="constant"
+        )
+        padded = pad_image(x, padding)
+        assert padded.dtype == expected.dtype
+        assert padded.shape == expected.shape
+        assert padded.tobytes() == expected.tobytes()
+
 
 class TestIm2Col:
     def test_known_patches(self):

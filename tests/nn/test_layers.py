@@ -200,6 +200,63 @@ class TestMaxPool2D:
         with pytest.raises(ShapeError):
             MaxPool2D(2).forward(np.zeros((1, 1, 5, 5), dtype=np.float32))
 
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("values", ["random", "halves", "all_equal"])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_same_bytes_as_mask_on_forward_pool(self, size, batch, values,
+                                                training):
+        """Forward, backward and input_gradient match the reference bytes.
+
+        :class:`_MaskOnForwardPool` is the layer as it was when its forward
+        built the routing mask; the pool must reproduce its output and its
+        gradients byte for byte, ties included.
+        """
+        rng = np.random.default_rng(size * 100 + batch)
+        shape = (batch, 3, 4 * size, 6 * size)
+        x = rng.normal(size=shape).astype(np.float32)
+        if values == "halves":
+            x = np.round(x * 2) / 2
+        elif values == "all_equal":
+            x = np.repeat(np.repeat(
+                np.round(x[:, :, ::size, ::size]), size, axis=2), size, axis=3)
+        grad = rng.normal(size=(batch, 3, 4, 6)).astype(np.float32)
+        pool, reference = MaxPool2D(size), _MaskOnForwardPool(size)
+
+        def same(actual, expected):
+            assert actual.dtype == expected.dtype
+            assert actual.shape == expected.shape
+            assert actual.tobytes() == expected.tobytes()
+
+        expected_out = reference.forward(x)
+        expected_grad = reference.backward(grad)
+        same(pool.forward(x, training), expected_out)
+        same(pool.backward(grad), expected_grad)
+        same(pool.input_gradient(grad), expected_grad)
+
+
+class _MaskOnForwardPool:
+    """Reference: max pooling whose forward builds the gradient mask."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def forward(self, x):
+        n, c, h, w = x.shape
+        s = self.size
+        windows = x.reshape(n, c, h // s, s, w // s, s)
+        out = windows.max(axis=(3, 5))
+        expanded = out[:, :, :, None, :, None]
+        mask = (windows == expanded).astype(np.float32)
+        counts = mask.sum(axis=(3, 5), keepdims=True)
+        self._cache = (mask / counts, x.shape)
+        return out
+
+    def backward(self, grad):
+        mask, (n, c, h, w) = self._cache
+        grad_windows = grad[:, :, :, None, :, None] * mask
+        return grad_windows.reshape(n, c, h, w)
+
 
 class TestFlatten:
     def test_roundtrip(self, rng):

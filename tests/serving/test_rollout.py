@@ -225,6 +225,84 @@ class TestCanaryBreakers:
                 "serve_breaker_transitions_total",
                 labels={"slot": slot, "to_state": "open"}).value == 1
 
+    @staticmethod
+    def _serve_degenerate(model, masks, config, log, start, between):
+        """Four all-degenerate requests: ``start`` first, ``between`` after
+        two.  Returns the validated run log."""
+        plan = FaultPlan(seed=0)
+        for request in range(4):
+            plan.inject_degenerate(request)
+        with RunLogger(log) as logger:
+            logger.emit("run_start", command="serve")
+            hook = RunLoggerHook(logger=logger, registry=MetricsRegistry())
+            with InferenceServer(model, config, hook=hook,
+                                 faults=plan) as server:
+                start(server)
+                for index, mask in enumerate(masks[:4]):
+                    if index == 2:
+                        between(server)
+                    server.submit(mask).result(timeout=RESOLVE_TIMEOUT)
+            logger.emit("run_end", status="ok")
+        events = read_run_log(log)
+        validate_run_log(events)
+        return events
+
+    @staticmethod
+    def _fields(events, event, *names):
+        return [tuple(e[name] for name in names)
+                for e in events if e["event"] == event]
+
+    def test_swapped_model_starts_with_a_closed_breaker(
+            self, golden_model, tiny_dataset, tiny_config, serving_config,
+            tmp_path):
+        """A swap replaces the incumbent's breaker; the log still validates.
+
+        Two degenerate requests open the incumbent breaker.  After
+        ``swap_model`` two more open the new incumbent's own breaker from
+        closed, and the ``model_swap`` record names the slot it filled.
+        """
+        config = serving_config(tiny_config, breaker_threshold=2)
+        events = self._serve_degenerate(
+            golden_model, tiny_dataset.masks, config, tmp_path / "swap.jsonl",
+            start=lambda server: None,
+            between=lambda server: server.swap_model(
+                golden_model, name="litho", version=2),
+        )
+        assert self._fields(events, "breaker",
+                            "slot", "from_state", "to_state") == [
+            (SLOT_INCUMBENT, "closed", "open"),
+            (SLOT_INCUMBENT, "closed", "open"),
+        ]
+        assert self._fields(events, "model_swap", "reason", "slot") == [
+            ("swap", SLOT_INCUMBENT)]
+
+    def test_promoted_candidate_serves_the_incumbent_slot(
+            self, golden_model, tiny_dataset, tiny_config, serving_config,
+            tmp_path):
+        """A promoted candidate gets a fresh incumbent-slot breaker.
+
+        A canary taking every batch opens the candidate breaker on two
+        degenerate requests.  Once promoted, the model serves the incumbent
+        slot, so the next two failures open a closed ``incumbent`` breaker
+        rather than probing the candidate's open one.
+        """
+        config = serving_config(tiny_config, breaker_threshold=2,
+                                breaker_probe_after=1)
+        events = self._serve_degenerate(
+            golden_model, tiny_dataset.masks, config,
+            tmp_path / "promote.jsonl",
+            start=lambda server: server.start_canary(
+                golden_model, name="litho", version=2, fraction=1.0),
+            between=lambda server: server.promote_candidate(),
+        )
+        assert self._fields(events, "breaker",
+                            "slot", "from_state", "to_state") == [
+            (SLOT_CANDIDATE, "closed", "open"),
+            (SLOT_INCUMBENT, "closed", "open"),
+        ]
+        assert self._fields(events, "model_swap", "reason", "slot") == [
+            ("canary", SLOT_CANDIDATE), ("promote", SLOT_INCUMBENT)]
+
 
 # ---------------------------------------------------------------------------
 # The chaos drill: canary -> automatic rollback under load, zero drops

@@ -186,6 +186,28 @@ class TestValidation:
                                  "was 'open'"):
             validate_run_log(events)
 
+    def test_model_swap_naming_a_slot_closes_only_its_breaker(
+            self, tmp_path):
+        path = tmp_path / "r.jsonl"
+
+        def edge(logger, slot, source, target):
+            logger.emit("breaker", slot=slot, from_state=source,
+                        to_state=target, reason="test")
+
+        with RunLogger(path) as logger:
+            logger.emit("run_start", command="serve")
+            edge(logger, "incumbent", "closed", "open")
+            edge(logger, "candidate", "closed", "open")
+            logger.emit("model_swap", model="litho", reason="swap",
+                        slot="incumbent")
+            edge(logger, "incumbent", "closed", "open")
+            edge(logger, "candidate", "open", "half_open")
+            # a registry pointer move names no slot and closes nothing
+            logger.emit("model_swap", model="litho", reason="promote")
+            edge(logger, "incumbent", "open", "half_open")
+            logger.emit("run_end", status="ok")
+        validate_run_log(read_run_log(path))
+
 
 #: a minimal valid body (exactly the required fields) for every logged row
 MINIMAL = {
