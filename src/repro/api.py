@@ -49,10 +49,11 @@ runs, so nobody has to know which subpackage owns which moving part:
     profile into a :class:`~repro.telemetry.report.RunReport` (the engine
     behind ``repro-litho report``).
 
-``train`` / ``evaluate`` / ``serve`` additionally accept a ``profiler``
-(:class:`~repro.telemetry.profile.LayerProfiler`): the model's three
-networks run instrumented for the duration of the call, and the caller
-reads ``profiler.report()`` afterwards.  No profiler, no overhead.
+``train`` / ``evaluate`` / ``serve`` / ``optimize_mask`` additionally
+accept a ``profiler`` (:class:`~repro.telemetry.profile.LayerProfiler`):
+the model's three networks report every layer step to it for the duration
+of the call, and the caller reads ``profiler.report()`` afterwards.  No
+profiler, no clock reads.
 
 Design rules: configuration objects are the first positional argument,
 everything optional is keyword-only, and every function either returns a
@@ -823,11 +824,12 @@ def optimize_mask(config: ExperimentConfig,
     itself draws no randomness, so results are bit-reproducible for a
     given model and clip set.
 
-    Telemetry: ``tracer`` records per-step ``ilt_step`` spans, and ``hook``
+    Telemetry: ``tracer`` records per-step ``ilt_step`` spans, ``hook``
     (a :class:`~repro.telemetry.TelemetryHook`) receives the ``ilt_start``
-    / ``ilt_step`` / ``ilt_end`` events.  ``compare_process_window``
-    additionally sweeps dose/defocus for the optimized vs. rule-OPC layouts
-    (expensive).
+    / ``ilt_step`` / ``ilt_end`` events, and ``profiler`` times each step's
+    generator forward and input-gradient walk per layer.
+    ``compare_process_window`` additionally sweeps dose/defocus for the
+    optimized vs. rule-OPC layouts (expensive).
 
     Raises :class:`~repro.errors.IltError` when any clip finishes without
     one simulator-verified candidate.

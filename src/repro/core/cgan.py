@@ -329,16 +329,9 @@ class CganModel:
 
     # -- inference ------------------------------------------------------------------
 
-    def generate(self, masks: np.ndarray, batch_size: int = 8,
-                 sample_noise: bool = False) -> np.ndarray:
-        """Generator output for a stack of mask images.
-
-        ``sample_noise=True`` keeps decoder dropout active (stochastic
-        samples); the default is the deterministic eval mode.
-        """
-        return predict_in_batches(
-            self.generator, masks, batch_size=batch_size, training=sample_noise
-        )
+    def generate(self, masks: np.ndarray, batch_size: int = 8) -> np.ndarray:
+        """Eval-mode generator output for a stack of mask images."""
+        return predict_in_batches(self.generator, masks, batch_size=batch_size)
 
     def predict_mono(self, masks: np.ndarray, batch_size: int = 8) -> np.ndarray:
         """Channel-averaged generator output clipped to [0, 1]: (N, H, W)."""

@@ -42,13 +42,12 @@ class RegressionHistory:
 
 
 def predict_in_batches(net: Sequential, inputs: np.ndarray,
-                       batch_size: int = 16,
-                       training: bool = False) -> np.ndarray:
-    """Run ``net`` over ``inputs`` in batches and stack the outputs."""
+                       batch_size: int = 16) -> np.ndarray:
+    """Run ``net`` over ``inputs`` in eval-mode batches; stack the outputs."""
     if batch_size < 1:
         raise TrainingError(f"batch_size must be >= 1, got {batch_size}")
     outputs = [
-        net.forward(inputs[start : start + batch_size], training=training)
+        net.forward(inputs[start : start + batch_size])
         for start in range(0, inputs.shape[0], batch_size)
     ]
     return np.concatenate(outputs, axis=0)

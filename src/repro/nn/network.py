@@ -37,46 +37,52 @@ class Sequential:
         self.layers: List[Layer] = layer_list
         self.name = name
         #: optional repro.telemetry.profile.LayerProfiler; when attached,
-        #: forward/backward delegate to its instrumented per-layer loop
+        #: it times every step of :meth:`_walk`
         self.profiler = None
 
     # -- execution ----------------------------------------------------------
 
+    def _walk(self, x: np.ndarray, step: Callable, reverse: bool = False
+              ) -> np.ndarray:
+        """The one per-layer loop: ``x = step(layer, x)`` for every layer.
+
+        ``reverse`` walks from the output back to the input, as the
+        gradient passes do.  An attached profiler times each step into
+        that layer's row (its backward column when ``reverse``).
+        """
+        profiler = self.profiler
+        indices = range(len(self.layers))
+        for index in reversed(indices) if reverse else indices:
+            if profiler is None:
+                x = step(self.layers[index], x)
+            else:
+                x = profiler.time_step(self, index, step, x, reverse)
+        return x
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if self.profiler is not None:
-            return self.profiler.forward(self, x, training=training)
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, training=training)
-        return out
+        return self._walk(
+            x, lambda layer, out: layer.forward(out, training=training))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Training-internal backward: accumulates parameter gradients.
 
         External gradient consumers should call :meth:`input_gradient`.
         """
-        if self.profiler is not None:
-            return self.profiler.backward(self, grad)
-        out = grad
-        for layer in reversed(self.layers):
-            out = layer.backward(out)
-        return out
+        return self._walk(grad, lambda layer, g: layer.backward(g),
+                          reverse=True)
 
     def input_gradient(
         self,
         x: np.ndarray,
         grad_out: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
-        *,
-        train: bool = False,
     ) -> np.ndarray:
         """Gradient of an objective with respect to the network input.
 
-        Runs a fresh forward pass in inference mode (normalization layers
-        use their running statistics and update nothing; with
-        ``train=True`` dropout layers sample noise — the paper's implicit
-        ``z`` — while normalization still stays on the inference path),
-        then walks the stack in reverse through each layer's
+        Runs a fresh eval-mode :meth:`forward` (normalization layers use
+        their running statistics and update nothing; dropout is off), then
+        walks the stack in reverse through each layer's
         ``input_gradient``, which never accumulates parameter gradients.
+        An attached profiler records the two walks as forward and backward.
 
         ``grad_out`` is either the gradient of the objective at the network
         output, or a callable mapping the forward output to that gradient —
@@ -89,10 +95,7 @@ class Sequential:
         layer that forgets to honor the frozen flag fails loudly instead of
         silently corrupting the next optimizer step.
         """
-        out = x
-        for layer in self.layers:
-            noisy = train and layer.op_name == "Dropout"
-            out = layer.forward(out, training=noisy)
+        out = self.forward(x)
         grad = grad_out(out) if callable(grad_out) else grad_out
         grad = np.asarray(grad)
         if grad.shape != out.shape:
@@ -102,8 +105,8 @@ class Sequential:
             )
         params = self.parameters()
         before = [param.grad.copy() for param in params]
-        for layer in reversed(self.layers):
-            grad = layer.input_gradient(grad)
+        grad = self._walk(grad, lambda layer, g: layer.input_gradient(g),
+                          reverse=True)
         for param, prev in zip(params, before):
             if not np.array_equal(param.grad, prev):
                 raise TrainingError(

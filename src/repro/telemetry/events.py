@@ -132,9 +132,12 @@ def _rollback_counter(registry: MetricsRegistry,
 
 def _breaker_gauge(registry: MetricsRegistry,
                    fields: Mapping[str, Any]) -> None:
-    code = {"closed": 0, "half_open": 1, "open": 2}.get(fields["to_state"], -1)
-    registry.gauge("serve_breaker_state",
-                   labels={"slot": fields["slot"]}).set(code)
+    # a model_swap naming a slot gives that slot a new, closed breaker
+    if fields.get("slot"):
+        code = {"closed": 0, "half_open": 1, "open": 2}.get(
+            fields.get("to_state", "closed"), -1)
+        registry.gauge("serve_breaker_state",
+                       labels={"slot": fields["slot"]}).set(code)
 
 
 def _active_version(registry: MetricsRegistry,
@@ -221,7 +224,8 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
     Event("model_swap", "A model filled a serving slot (named by slot) at "
           "a batch boundary, or a registry pointer moved (no slot).",
           {"model": _given, "reason": _given},
-          (_inc("serve_model_swaps_total", "model"), _active_version)),
+          (_inc("serve_model_swaps_total", "model"), _active_version,
+           _breaker_gauge)),
     Event("canary_verdict", "A canary or shadow rollout reached a verdict.",
           {"model": _given, "verdict": _one_of(*CANARY_VERDICTS)},
           (_inc("serve_canary_verdicts_total", "verdict"),)),

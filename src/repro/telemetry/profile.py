@@ -1,13 +1,13 @@
 """Layer-level profiler for :mod:`repro.nn` networks.
 
-A :class:`LayerProfiler` replaces a :class:`~repro.nn.network.Sequential`'s
-forward/backward loop with an instrumented copy that times every layer,
-estimates its FLOPs (via ``Layer.flops``), and sizes its activation output.
-Attachment is explicit and reversible — ``net.profiler = profiler`` or the
-:func:`profiled` context manager — and the un-instrumented path does **not**
-touch the profiler machinery at all (one ``is None`` check per pass), so
-profiling disabled adds zero overhead to the hot loop; the Table 4 bench
-asserts exactly that.
+A :class:`~repro.nn.network.Sequential` walks its layers in one loop and
+hands each step to an attached :class:`LayerProfiler`, which times it,
+estimates the layer's FLOPs (via ``Layer.flops``), and sizes its activation
+output.  Forward steps fill ``forward_s``; the reverse walks of ``backward``
+and ``input_gradient`` fill ``backward_s``.  Attachment is explicit and
+reversible — ``net.profiler = profiler`` or the :func:`profiled` context
+manager — and the unprofiled walk never reads the profiler clock;
+``tests/telemetry/test_profile.py`` asserts exactly that.
 
 Aggregation is per ``(network name, layer index)``, deterministic across
 runs of the same workload, and exported as a :class:`ProfileReport` whose
@@ -169,31 +169,20 @@ class LayerProfiler:
             self._stats[key] = row
         return row
 
-    def forward(self, network, x, training: bool = False):
-        """Instrumented replacement for ``Sequential.forward``."""
-        out = x
-        for index, layer in enumerate(network.layers):
-            in_shape = out.shape
-            started = perf_counter()
-            out = layer.forward(out, training=training)
-            elapsed = perf_counter() - started
-            row = self._row(network, index, layer)
+    def time_step(self, network, index: int, step, x, reverse: bool):
+        """Run one step of ``network``'s layer walk and add it to the row."""
+        layer = network.layers[index]
+        started = perf_counter()
+        out = step(layer, x)
+        elapsed = perf_counter() - started
+        row = self._row(network, index, layer)
+        if reverse:
+            row.backward_s += elapsed
+        else:
             row.calls += 1
             row.forward_s += elapsed
-            row.flops += layer.flops(in_shape, out.shape)
+            row.flops += layer.flops(x.shape, out.shape)
             row.activation_bytes += out.nbytes
-        return out
-
-    def backward(self, network, grad):
-        """Instrumented replacement for ``Sequential.backward``."""
-        out = grad
-        for index in range(len(network.layers) - 1, -1, -1):
-            layer = network.layers[index]
-            started = perf_counter()
-            out = layer.backward(out)
-            elapsed = perf_counter() - started
-            row = self._row(network, index, layer)
-            row.backward_s += elapsed
         return out
 
     def report(self) -> ProfileReport:

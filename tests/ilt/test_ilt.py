@@ -225,3 +225,25 @@ class TestOptimizeMaskFacade:
             "ilt_verifications_total").value == result.verifications
         assert tracer.count("ilt_clip") == 1
         assert tracer.count("ilt_step") == ilt_config.ilt.steps
+
+    def test_clip_summary_ignores_its_call_group(self, ilt_config, trained,
+                                                 clip):
+        """A clip optimized alone or beside others gives the same summary.
+
+        perfbench's ``ilt`` warm-up optimizes its clip 0 alone and the
+        measured window optimizes it beside two more, then requires every
+        summary of a clip to be identical; a profiler must not change that.
+        """
+        from repro import api
+        from repro.telemetry import LayerProfiler
+
+        others = generate_clips(
+            ilt_config.tech, np.random.default_rng(5), count=2)
+        summaries = set()
+        for profiler in (None, LayerProfiler()):
+            for group in ([clip], [clip, *others]):
+                result = api.optimize_mask(ilt_config, trained, clips=group,
+                                           profiler=profiler)
+                summaries.add(json.dumps(result.outcomes[0].summary(),
+                                         sort_keys=True))
+        assert len(summaries) == 1

@@ -224,28 +224,22 @@ class TestSequentialInputGradient:
             for layer in net.layers
             if isinstance(layer, BatchNorm)
         ]
-        net.input_gradient(x, lambda y: np.ones_like(y), train=True)
+        net.input_gradient(x, lambda y: np.ones_like(y))
         for param, prev in zip(net.parameters(), snapshot):
             np.testing.assert_array_equal(param.grad, prev)
-        # Normalization state is inference-path too: no EMA updates, even
-        # with train=True (dropout noise only).
+        # Normalization state is inference-path too: no EMA updates.
         bn_layers = [l for l in net.layers if isinstance(l, BatchNorm)]
         for layer, (mean, var) in zip(bn_layers, stats):
             np.testing.assert_array_equal(layer.running_mean, mean)
             np.testing.assert_array_equal(layer.running_var, var)
 
-    def test_train_flag_samples_dropout_noise(self, rng):
+    def test_dropout_stays_off_so_repeats_match(self, rng):
         net = self._net(rng)
         x = rng.normal(size=(2, 2, 8, 8)).astype(np.float32)
         deterministic = [
             net.input_gradient(x, lambda y: np.ones_like(y)) for _ in range(2)
         ]
         np.testing.assert_array_equal(deterministic[0], deterministic[1])
-        noisy = [
-            net.input_gradient(x, lambda y: np.ones_like(y), train=True)
-            for _ in range(2)
-        ]
-        assert not np.array_equal(noisy[0], noisy[1])
 
     def test_rogue_layer_fails_loudly(self, rng):
         net = Sequential([_RogueLayer()])

@@ -48,7 +48,8 @@ class DegenerateModel:
 
     def predict_raw(self, masks):
         masks = np.asarray(masks)
-        mono = np.zeros(masks.shape, dtype=np.float32)
+        # one mono window per (N, 3, H, W) mask stack: (N, H, W)
+        mono = np.zeros((len(masks),) + masks.shape[2:], dtype=np.float32)
         centers = np.zeros((len(masks), 2), dtype=np.float64)
         return mono, centers
 
@@ -225,6 +226,29 @@ class TestCanaryBreakers:
                 "serve_breaker_transitions_total",
                 labels={"slot": slot, "to_state": "open"}).value == 1
 
+    def test_swap_resets_the_slot_breaker_gauge(
+            self, golden_model, tiny_dataset, tiny_config, serving_config):
+        """The gauge shows the swapped-in model's closed breaker at once."""
+        config = serving_config(tiny_config, breaker_threshold=2)
+        plan = FaultPlan(seed=0)
+        for request in range(2):
+            plan.inject_degenerate(request)
+        registry = MetricsRegistry()
+        hook = RunLoggerHook(logger=None, registry=registry)
+
+        def gauge():
+            return registry.gauge(
+                "serve_breaker_state", labels={"slot": SLOT_INCUMBENT}).value
+
+        with InferenceServer(golden_model, config, hook=hook,
+                             faults=plan) as server:
+            for mask in tiny_dataset.masks[:2]:
+                server.submit(mask).result(timeout=RESOLVE_TIMEOUT)
+            assert gauge() == 2  # open
+            server.swap_model(golden_model, name="litho", version=2)
+            assert gauge() == 0  # closed
+            assert server.service.breaker.state == "closed"
+
     @staticmethod
     def _serve_degenerate(model, masks, config, log, start, between):
         """Four all-degenerate requests: ``start`` first, ``between`` after
@@ -312,11 +336,12 @@ class TestCanaryBreakers:
 class TestAutoRollback:
     def _drain_all(self, futures):
         """Every future must resolve — a result or a typed serving error."""
-        outcomes = {"served": 0, "errors": 0}
+        outcomes = {"served": 0, "errors": 0, "degenerate": 0}
         for future in futures:
             try:
-                future.result(timeout=RESOLVE_TIMEOUT)
+                clip = future.result(timeout=RESOLVE_TIMEOUT)
                 outcomes["served"] += 1
+                outcomes["degenerate"] += clip.verdict == VERDICT_DEGENERATE
             except ServingError:
                 outcomes["errors"] += 1
         return outcomes
@@ -373,6 +398,10 @@ class TestAutoRollback:
 
         outcomes = self._drain_all(futures)
         assert outcomes["served"] + outcomes["errors"] == len(futures)
+        # The canary regresses through output-guard verdicts: its answers
+        # are served flagged, never as whole-batch errors.
+        assert outcomes["errors"] == 0
+        assert outcomes["degenerate"] > 0
         stats = server.stats()
         assert stats.rollbacks == 1
         assert stats.swaps == 0  # rollback discards, never swaps

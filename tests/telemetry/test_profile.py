@@ -1,5 +1,7 @@
 """Layer profiler: per-layer timing/FLOPs, determinism, zero overhead."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,11 @@ def _run(net, passes=1):
         out = net.forward(x, training=True)
         net.backward(np.ones_like(out))
     return out
+
+
+def _input_gradient(net):
+    x = np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(3, 4)
+    return net.input_gradient(x, lambda y: np.ones_like(y))
 
 
 class TestLayerProfiler:
@@ -53,10 +60,32 @@ class TestLayerProfiler:
         assert report.flops == sum(r.flops for r in report.rows)
 
     def test_profiled_output_matches_unprofiled(self):
-        plain = _run(_toy_net())
+        """forward, backward and input_gradient give the same bytes."""
+        results = []
+        for profiler in (None, LayerProfiler()):
+            net = _toy_net()
+            net.profiler = profiler
+            out = net.forward(np.ones((3, 4), dtype=np.float32),
+                              training=True)
+            grad = net.backward(np.arange(out.size, dtype=np.float32)
+                                .reshape(out.shape))
+            results.append([out, grad, _input_gradient(net)])
+        for plain, timed in zip(*results):
+            assert plain.tobytes() == timed.tobytes()
+
+    def test_input_gradient_fills_both_columns(self, monkeypatch):
+        """ILT's forward walk is the forward column, its gradient walk
+        the backward column: one clock tick each, one call per layer."""
+        ticks = itertools.count()
+        monkeypatch.setattr("repro.telemetry.profile.perf_counter",
+                            lambda: float(next(ticks)))
         net = _toy_net()
         net.profiler = LayerProfiler()
-        np.testing.assert_array_equal(_run(net), plain)
+        _input_gradient(net)
+        rows = net.profiler.report().rows
+        assert [row.index for row in rows] == [0, 1, 2]
+        for row in rows:
+            assert (row.calls, row.forward_s, row.backward_s) == (1, 1.0, 1.0)
 
     def test_calls_accumulate_across_passes(self):
         net = _toy_net()
@@ -96,7 +125,9 @@ class TestLayerProfiler:
         monkeypatch.setattr(
             "repro.telemetry.profile.perf_counter", counting_clock
         )
-        _run(_toy_net())
+        net = _toy_net()
+        _run(net)  # forward and backward
+        _input_gradient(net)
         assert calls["n"] == 0
 
 

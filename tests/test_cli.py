@@ -714,7 +714,7 @@ class TestOptimize:
     @pytest.fixture(scope="class")
     def ilt_run(self, workspace, serve_model_dir):
         paths = {name: workspace / f"ilt_{name}" for name in
-                 ("report.json", "repeat.json", "run.jsonl")}
+                 ("report.json", "repeat.json", "run.jsonl", "profile.json")}
         argv = [
             "optimize", "--model", str(serve_model_dir),
             "--clips", str(self.CLIPS), "--steps", str(self.STEPS),
@@ -722,7 +722,10 @@ class TestOptimize:
         ]
         assert main([*argv, "--report", str(paths["report.json"]),
                      "--log-json", str(paths["run.jsonl"])]) == 0
-        assert main([*argv, "--report", str(paths["repeat.json"])]) == 0
+        # the repeat is profiled, so the byte comparison also shows that
+        # profiling leaves ILT's output alone
+        assert main([*argv, "--report", str(paths["repeat.json"]),
+                     "--profile-out", str(paths["profile.json"])]) == 0
         return paths
 
     def test_verified_masks_beat_both_baselines(self, ilt_run):
@@ -754,3 +757,17 @@ class TestOptimize:
         assert ilt["runs"] == ilt["improved"] == 1
         assert ilt["steps"] == self.CLIPS * self.STEPS
         assert ilt["verifications"] == report["verifications"]
+
+    def test_profile_times_the_gradient_path(self, ilt_run, capsys):
+        """Each ILT step is one generator forward and one gradient walk."""
+        payload = json.loads(ilt_run["profile.json"].read_text())
+        rows = [row for row in payload["layers"]
+                if row["network"] == "generator"]
+        assert rows
+        for row in rows:
+            assert row["calls"] == self.CLIPS * self.STEPS
+            assert row["forward_s"] > 0.0 and row["backward_s"] > 0.0
+        capsys.readouterr()
+        assert main(["report", "--log", str(ilt_run["run.jsonl"]),
+                     "--profile", str(ilt_run["profile.json"])]) == 0
+        assert "hot layers" in capsys.readouterr().out
