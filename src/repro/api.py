@@ -82,7 +82,6 @@ from .config import (
     DATA_POLICY_SALVAGE,
     DATA_POLICY_STRICT,
     ExperimentConfig,
-    ServerConfig,
     ServingConfig,
 )
 from .core import LithoGan, LithoGanHistory
@@ -735,7 +734,6 @@ def serve(model: Union[LithoGan, str, Path],
 
 def serve_loop(model: Union[LithoGan, str, Path], *,
                config: ExperimentConfig,
-               server: Optional["ServerConfig"] = None,
                quotas: Sequence = (),
                faults=None, hook=None, tracer=None, simulator=None,
                clock=None, start: bool = True,
@@ -746,15 +744,14 @@ def serve_loop(model: Union[LithoGan, str, Path], *,
 
     ``model`` may be a fitted LithoGAN, a weight directory (restored
     fail-closed), or any duck-typed ``predict_raw`` provider (e.g. a
-    :class:`~repro.serving.PlaybackModel`).  ``server`` overrides
-    ``config.server`` wholesale (queue capacity, ``max_batch`` /
-    ``max_wait_ms`` coalescing, watchdog, drain timeout); ``quotas`` is a
-    sequence of :class:`~repro.serving.TenantQuota`;
-    ``model_name``/``model_version`` label the incumbent slot for
-    hot-swap/canary telemetry (e.g. a registry ``name@version``).  The
-    server comes
-    back already started (``start=False`` defers); use it as a context
-    manager, or call ``close()`` to drain and stop:
+    :class:`~repro.serving.PlaybackModel`).  ``config.server`` sets the
+    queue, watchdog and drain timeout, and ``config.serving.micro_batch``
+    the batch size; ``quotas`` is a sequence of
+    :class:`~repro.serving.TenantQuota`; ``model_name``/``model_version``
+    label the incumbent slot for hot-swap/canary telemetry (e.g. a
+    registry ``name@version``).  The server comes back already started
+    (``start=False`` defers); use it as a context manager, or call
+    ``close()`` to drain and stop:
 
     >>> with api.serve_loop(model, config=config) as srv:   # doctest: +SKIP
     ...     future = srv.submit(mask, tenant="opc")
@@ -762,8 +759,6 @@ def serve_loop(model: Union[LithoGan, str, Path], *,
     """
     from .serving import InferenceServer
 
-    if server is not None:
-        config = dataclasses.replace(config, server=server)
     configure_kernel_cache(config.parallel)
     if isinstance(model, (str, Path)):
         model = load_model(model, config)

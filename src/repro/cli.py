@@ -526,8 +526,6 @@ def cmd_serve(args) -> int:
     overrides = {
         key: value for key, value in {
             "queue_capacity": args.queue_capacity,
-            "max_batch": args.max_batch,
-            "max_wait_ms": args.max_wait_ms,
             "default_deadline_s": args.deadline,
             "watchdog_s": args.watchdog,
         }.items() if value is not None
@@ -535,6 +533,11 @@ def cmd_serve(args) -> int:
     if overrides:
         config = dataclasses.replace(
             config, server=dataclasses.replace(config.server, **overrides),
+        )
+    if args.max_batch is not None:
+        config = dataclasses.replace(
+            config, serving=dataclasses.replace(
+                config.serving, micro_batch=args.max_batch),
         )
 
     if args.canary_fraction is not None and not (
@@ -603,10 +606,9 @@ def cmd_serve(args) -> int:
         faults.inject_wedge(batch, seconds)
         print(f"fault drill: wedging forward batch {batch} for {seconds:g}s")
 
-    server_cfg = config.server
     print(
-        f"serving loop: queue {server_cfg.queue_capacity}, batch <= "
-        f"{server_cfg.max_batch} @ {server_cfg.max_wait_ms:g}ms, tenants "
+        f"serving loop: queue {config.server.queue_capacity}, batch <= "
+        f"{config.serving.micro_batch}, tenants "
         f"{', '.join(tenant_names)}; ramping "
         f"{args.qps_start:g}->{args.qps_end:g} qps over "
         f"{args.duration:g}s ..."
@@ -1328,13 +1330,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-batch", dest="max_batch", type=int, default=None,
-        metavar="N", help="coalesce at most N requests per forward batch "
-             "(default: 8)",
-    )
-    serve.add_argument(
-        "--max-wait-ms", dest="max_wait_ms", type=float, default=None,
-        metavar="MS", help="close a non-full batch MS after its first "
-             "request arrived (default: 5)",
+        metavar="N", help="at most N requests per forward batch; the "
+             "batcher takes whatever is queued, up to N, without waiting "
+             "(sets serving.micro_batch; default: 8)",
     )
     serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

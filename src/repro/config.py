@@ -468,7 +468,8 @@ class ServingConfig:
 
     ``queue_capacity`` bounds how many admitted clips one batch may carry
     (backpressure: overflow clips are rejected with ``overload``);
-    ``micro_batch`` sets the generator forward-pass width.  ``deadline_s``
+    ``micro_batch`` sets the generator forward-pass width, and so also the
+    most requests the serving loop takes into one batch.  ``deadline_s``
     is the default per-batch deadline (None = no deadline): once exceeded,
     degenerate outputs are served best-effort instead of entering the
     retry/fallback ladder.  The circuit breaker trips to simulator-only
@@ -544,12 +545,9 @@ class ServingConfig:
 class ServerConfig:
     """Continuous-batching serving-loop knobs (the long-lived server).
 
-    Requests queue on a bounded FIFO of ``queue_capacity`` slots and are
-    coalesced into forward batches: the batcher closes a batch as soon as
-    ``max_batch`` requests are waiting, or after ``max_wait_ms`` has passed
-    since the *first* request of the batch arrived — the latency-versus-
-    throughput knob (0 disables coalescing entirely: every request is
-    served the moment the executor is free).
+    Requests queue on a bounded FIFO of ``queue_capacity`` slots.  Whenever
+    the executor is free, the batcher takes whatever is queued, up to
+    ``ServingConfig.micro_batch`` requests, as one forward batch.
 
     ``default_deadline_s`` is attached to requests that do not carry their
     own deadline (None = no deadline).  ``watchdog_s`` bounds how long the
@@ -561,8 +559,6 @@ class ServerConfig:
     """
 
     queue_capacity: int = 64
-    max_batch: int = 8
-    max_wait_ms: float = 5.0
     default_deadline_s: Optional[float] = None
     watchdog_s: float = 10.0
     drain_timeout_s: float = 30.0
@@ -571,14 +567,6 @@ class ServerConfig:
         if self.queue_capacity < 1:
             raise ConfigError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
-        if self.max_batch < 1:
-            raise ConfigError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.max_wait_ms < 0:
-            raise ConfigError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
             )
         if self.default_deadline_s is not None and self.default_deadline_s < 0:
             raise ConfigError(

@@ -22,8 +22,9 @@ On top of the one-shot service sits the long-lived loop:
 * :mod:`repro.serving.tenancy` — per-tenant admission quotas and the
   proportional fair-shedding policy.
 * :mod:`repro.serving.server` — :class:`InferenceServer`, the
-  continuous-batching serving loop (asynchronous submission, dynamic batch
-  coalescing, per-request deadlines, a wedge watchdog, drain-on-shutdown)
+  continuous-batching serving loop (asynchronous submission, batches of
+  whatever is queued, per-request deadlines, a wedge watchdog,
+  drain-on-shutdown)
   and the :func:`run_soak` sustained-load harness.
 * :mod:`repro.serving.rollout` — canary/shadow rollout policy: the
   deterministic batch router and sliding-window health comparison behind

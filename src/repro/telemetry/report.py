@@ -190,9 +190,10 @@ class RunReport:
                     f"{usage.busy_s:>9.3f}s busy"
                 )
         serving = self.serving or {}
-        if any(serving.get(key) for key in
-               ("swaps", "rollbacks", "canary_verdicts", "sheds_by_tenant")):
-            verdicts = serving.get("canary_verdicts", {})
+        verdicts = serving.get("canary_verdicts", {})
+        if (any(serving.get(key) for key in
+                ("swaps", "rollbacks", "sheds_by_tenant"))
+                or any(verdicts.values())):
             parts = [
                 f"swaps={serving.get('swaps', 0)}",
                 f"rollbacks={serving.get('rollbacks', 0)}",

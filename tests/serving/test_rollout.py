@@ -353,8 +353,9 @@ class TestAutoRollback:
         # keeps both slots' health windows a pure function of their models
         # (and keeps the circuit breaker out of the drill entirely).
         config = server_config(
-            serving_config(tiny_config, fallback_enabled=False),
-            max_batch=2, queue_capacity=256,
+            serving_config(tiny_config, fallback_enabled=False,
+                           micro_batch=2),
+            queue_capacity=256,
         )
         registry = MetricsRegistry()
         hook = RunLoggerHook(logger=None, registry=registry)
@@ -419,8 +420,9 @@ class TestAutoRollback:
             self, golden_model, tiny_dataset, tiny_config, serving_config,
             server_config, tmp_path):
         config = server_config(
-            serving_config(tiny_config, fallback_enabled=False),
-            max_batch=2, queue_capacity=256,
+            serving_config(tiny_config, fallback_enabled=False,
+                           micro_batch=2),
+            queue_capacity=256,
         )
         log_path = tmp_path / "serve.jsonl"
         logger = RunLogger(log_path)
@@ -466,8 +468,9 @@ class TestAutoRollback:
             self, golden_model, tiny_dataset, tiny_config, serving_config,
             server_config):
         config = server_config(
-            serving_config(tiny_config, fallback_enabled=False),
-            max_batch=2, queue_capacity=256,
+            serving_config(tiny_config, fallback_enabled=False,
+                           micro_batch=2),
+            queue_capacity=256,
         )
         server = InferenceServer(
             golden_model, config, model_name="litho", model_version=1)

@@ -38,8 +38,8 @@ RESOLVE_TIMEOUT = 30.0
 
 class TestServeAndCoalesce:
     def test_every_submission_is_answered_with_its_request_id(
-            self, golden_model, tiny_dataset, tiny_config, server_config):
-        config = server_config(tiny_config, max_batch=4, max_wait_ms=1.0)
+            self, golden_model, tiny_dataset, tiny_config, serving_config):
+        config = serving_config(tiny_config, micro_batch=3)
         tracer = Tracer()
         server = InferenceServer(golden_model, config, tracer=tracer)
         futures = [
@@ -53,9 +53,13 @@ class TestServeAndCoalesce:
 
         assert [clip.clip for clip in results] == list(range(8))
         assert all(c.provenance == PROVENANCE_MODEL for c in results)
-        # 8 requests were already queued: exactly two max_batch=4 batches
-        assert server.batches == 2
-        assert tracer.count("batch_coalesce") == 2
+        # 8 requests were already queued: micro_batch=3 caps each server
+        # batch, and each server batch is exactly one forward pass
+        assert server.batches == 3
+        assert [record.metadata["size"] for record in tracer.records
+                if record.name == "batch_coalesce"] == [3, 3, 2]
+        assert [record.metadata["clips"] for record in tracer.records
+                if record.name == "serve_forward"] == [3, 3, 2]
         stats = server.stats()
         assert stats.submitted == 8
         assert stats.served == 8
@@ -197,8 +201,10 @@ class TestDeadlines:
 
 class TestWatchdog:
     def test_wedged_executor_fails_pending_requests_with_typed_errors(
-            self, golden_model, tiny_dataset, tiny_config, server_config):
-        config = server_config(tiny_config, watchdog_s=0.3, max_batch=2)
+            self, golden_model, tiny_dataset, tiny_config, server_config,
+            serving_config):
+        config = server_config(
+            serving_config(tiny_config, micro_batch=2), watchdog_s=0.3)
         faults = FaultPlan(seed=0)
         faults.inject_wedge(0, seconds=60.0)
         server = InferenceServer(golden_model, config, faults=faults)
@@ -222,35 +228,12 @@ class TestWatchdog:
 
 
 class TestInjectedClock:
-    """The batcher's coalescing budget and the watchdog's stall timer run
-    on the injected clock, so wedge/coalescing drills advance a fake clock
-    instead of sleeping real wall time."""
-
-    def test_fake_clock_expires_the_coalescing_budget(
-            self, golden_model, tiny_dataset, tiny_config, server_config,
-            fake_clock):
-        import time as _time
-
-        # A 60s coalescing window: only the fake clock can close a
-        # non-full batch within this test's lifetime.
-        config = server_config(
-            tiny_config, max_batch=8, max_wait_ms=60_000.0)
-        server = InferenceServer(golden_model, config, clock=fake_clock)
-        server.start()
-        try:
-            future = server.submit(tiny_dataset.masks[0])
-            bound = _time.monotonic() + RESOLVE_TIMEOUT
-            while not future.done() and _time.monotonic() < bound:
-                fake_clock.advance(120.0)
-                _time.sleep(0.02)
-            clip = future.result(timeout=RESOLVE_TIMEOUT)
-            assert clip.provenance == PROVENANCE_MODEL
-        finally:
-            server.close()
+    """The watchdog's stall timer runs on the injected clock, so wedge
+    drills advance a fake clock instead of sleeping real wall time."""
 
     def test_fake_clock_trips_the_watchdog_on_a_stuck_executor(
             self, golden_model, tiny_dataset, tiny_config, server_config,
-            fake_clock):
+            serving_config, fake_clock):
         import threading as _threading
 
         class BlockingModel:
@@ -268,7 +251,8 @@ class TestInjectedClock:
 
         import time as _time
 
-        config = server_config(tiny_config, watchdog_s=300.0, max_batch=2)
+        config = server_config(
+            serving_config(tiny_config, micro_batch=2), watchdog_s=300.0)
         model = BlockingModel(golden_model)
         server = InferenceServer(model, config, clock=fake_clock)
         server.start()
@@ -325,8 +309,8 @@ class TestTelemetry:
 
 class TestSoakHarness:
     def test_soak_answers_every_admitted_request(
-            self, golden_model, tiny_dataset, tiny_config, server_config):
-        config = server_config(tiny_config, max_batch=4, max_wait_ms=2.0)
+            self, golden_model, tiny_dataset, tiny_config, serving_config):
+        config = serving_config(tiny_config, micro_batch=4)
         server = InferenceServer(golden_model, config)
         report = run_soak(
             server, list(tiny_dataset.masks), duration_s=0.6,

@@ -202,6 +202,15 @@ class TestSweepSection:
         report = build_report(log)
         assert "sweep:" not in report.format_text()
 
+    def test_report_without_serving_activity_omits_serving_line(
+            self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        _write_good_log(log)
+        report = build_report(log)
+        assert report.serving["canary_verdicts"] == {
+            "promote": 0, "rollback": 0}
+        assert "serving:" not in report.format_text()
+
 
 class TestGoldenLog:
     """The report over every logged event of ``golden_events.json``.
