@@ -19,9 +19,6 @@ def _numel(shape: tuple) -> int:
 class ReLU(Layer):
     op_name = "ReLU"
 
-    def __init__(self):
-        self._mask = None
-
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape
 
@@ -29,11 +26,11 @@ class ReLU(Layer):
         return _numel(output_shape)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(np.float32, copy=False)
+        self._cache = x > 0
+        return np.where(self._cache, x, 0.0).astype(np.float32, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        mask = self._require_cache(self._mask, "mask")
+        mask = self._require_cache(self._cache, "mask")
         return grad * mask
 
 
@@ -44,7 +41,6 @@ class LeakyReLU(Layer):
         if not 0 <= slope < 1:
             raise ShapeError(f"leaky slope must lie in [0, 1), got {slope}")
         self.slope = slope
-        self._mask = None
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape
@@ -53,19 +49,16 @@ class LeakyReLU(Layer):
         return 2 * _numel(output_shape)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.slope * x).astype(np.float32, copy=False)
+        self._cache = x > 0
+        return np.where(self._cache, x, self.slope * x).astype(np.float32, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        mask = self._require_cache(self._mask, "mask")
+        mask = self._require_cache(self._cache, "mask")
         return np.where(mask, grad, self.slope * grad)
 
 
 class Sigmoid(Layer):
     op_name = "Sigmoid"
-
-    def __init__(self):
-        self._out = None
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape
@@ -74,19 +67,16 @@ class Sigmoid(Layer):
         return 4 * _numel(output_shape)  # exp, add, div, negate
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._out = sigmoid(x)
-        return self._out
+        self._cache = sigmoid(x)
+        return self._cache
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        out = self._require_cache(self._out, "output")
+        out = self._require_cache(self._cache, "output")
         return grad * sigmoid_grad(out)
 
 
 class Tanh(Layer):
     op_name = "Tanh"
-
-    def __init__(self):
-        self._out = None
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape
@@ -95,9 +85,9 @@ class Tanh(Layer):
         return 4 * _numel(output_shape)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        self._cache = np.tanh(x)
+        return self._cache
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        out = self._require_cache(self._out, "output")
+        out = self._require_cache(self._cache, "output")
         return grad * (1.0 - out**2)

@@ -1,9 +1,14 @@
 """Layer interface.
 
 A layer is a differentiable function with optional parameters.  ``forward``
-caches whatever the matching ``backward`` needs; calling ``backward`` without
-a preceding ``forward`` is an error.  Layers are single-use per step: each
-``forward`` overwrites the cache of the previous one.
+keeps whatever the matching ``backward`` needs in the layer's one ``_cache``
+slot; calling ``backward`` without a preceding ``forward`` is an error.
+Layers are single-use per step: each ``forward`` overwrites the cache of the
+previous one.  That holds for training forwards and for the forward of an
+input-gradient query only: :meth:`repro.nn.Sequential.forward` in eval mode
+clears each layer's slot as soon as the layer returns, and
+:meth:`repro.nn.Sequential.input_gradient` clears it once the layer's
+gradient is taken, so inference holds no backward state.
 """
 
 from __future__ import annotations
@@ -22,11 +27,9 @@ class Layer:
     #: human-readable op name used in architecture summaries ("Conv", ...)
     op_name = "Layer"
 
-    #: when True, ``backward`` must not accumulate parameter gradients;
-    #: :meth:`input_gradient` sets it around the walk so inference-path
-    #: gradient queries (e.g. ILT mask optimization) leave training state
-    #: untouched
-    _param_grads_frozen = False
+    #: what ``backward`` reads from the last ``forward``; ``None`` when no
+    #: forward has run or an eval-mode walk released it
+    _cache = None
 
     def parameters(self) -> List[Parameter]:
         """Trainable parameters of this layer (empty by default)."""
@@ -41,17 +44,22 @@ class Layer:
     def input_gradient(self, grad: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. this layer's input, parameter gradients untouched.
 
-        The default freezes parameter-gradient accumulation around
-        :meth:`backward`; parametric layers additionally skip the weight
-        gradient computation entirely when frozen, and layers whose
+        The default marks this layer's parameters frozen around
+        :meth:`backward`: parametric layers skip the weight gradient
+        computation entirely when frozen, and a layer that adds a gradient
+        anyway gets a :class:`~repro.errors.TrainingError` from
+        :meth:`~repro.nn.parameter.Parameter.add_grad`.  Layers whose
         eval-mode gradient differs from the cached training-mode one
         (:class:`~repro.nn.layers.norm.BatchNorm`) override this.
         """
-        self._param_grads_frozen = True
+        params = self.parameters()
+        for param in params:
+            param.frozen = True
         try:
             return self.backward(grad)
         finally:
-            self._param_grads_frozen = False
+            for param in params:
+                param.frozen = False
 
     def output_shape(self, input_shape: tuple) -> tuple:
         """Shape (without batch dim) this layer produces for an input shape."""

@@ -51,7 +51,6 @@ class Conv2D(Layer):
             if use_bias
             else None
         )
-        self._cache = None
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight]
@@ -102,7 +101,7 @@ class Conv2D(Layer):
         )
         n = grad.shape[0]
         grad_flat = grad.reshape(n, self.out_channels, out_h * out_w)
-        if not self._param_grads_frozen:
+        if not self.weight.frozen:
             if self.bias is not None:
                 self.bias.add_grad(grad_flat.sum(axis=(0, 2)))
             grad_w = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
@@ -146,7 +145,6 @@ class ConvTranspose2D(Layer):
             if use_bias
             else None
         )
-        self._cache = None
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight]
@@ -209,13 +207,13 @@ class ConvTranspose2D(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x_flat, (in_h, in_w), padding = self._require_cache(self._cache)
         n = grad.shape[0]
-        if not self._param_grads_frozen and self.bias is not None:
+        if not self.weight.frozen and self.bias is not None:
             self.bias.add_grad(grad.sum(axis=(0, 2, 3)))
         grad_padded = pad_image(grad, padding)
         grad_cols = im2col(grad_padded, self.kernel, self.stride, in_h, in_w)
         w_mat = self.weight.value.reshape(self.in_channels, -1)
         grad_x = np.matmul(w_mat, grad_cols)
-        if not self._param_grads_frozen:
+        if not self.weight.frozen:
             grad_w = np.matmul(x_flat, grad_cols.transpose(0, 2, 1)).sum(axis=0)
             self.weight.add_grad(grad_w.reshape(self.weight.value.shape))
         return grad_x.reshape(n, self.in_channels, in_h, in_w)

@@ -33,7 +33,6 @@ class Dense(Layer):
             if use_bias
             else None
         )
-        self._cache = None
 
     def parameters(self) -> List[Parameter]:
         params = [self.weight]
@@ -64,7 +63,7 @@ class Dense(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x = self._require_cache(self._cache)
-        if not self._param_grads_frozen:
+        if not self.weight.frozen:
             self.weight.add_grad(x.T @ grad)
             if self.bias is not None:
                 self.bias.add_grad(grad.sum(axis=0))

@@ -22,7 +22,6 @@ class Dropout(Layer):
             raise ShapeError(f"dropout rate must lie in [0, 1), got {rate}")
         self.rate = rate
         self._rng = rng
-        self._mask = None
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape
@@ -31,14 +30,14 @@ class Dropout(Layer):
         if not training or self.rate == 0:
             # Eval mode is the identity; a scalar mask keeps backward the
             # identity too without allocating a full ones tensor.
-            self._mask = np.float32(1.0)
+            self._cache = np.float32(1.0)
             return x
         keep = 1.0 - self.rate
-        self._mask = (
+        self._cache = (
             self._rng.uniform(size=x.shape) < keep
         ).astype(np.float32) / keep
-        return x * self._mask
+        return x * self._cache
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        mask = self._require_cache(self._mask, "mask")
+        mask = self._require_cache(self._cache, "mask")
         return grad * mask

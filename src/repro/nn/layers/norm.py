@@ -37,7 +37,6 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(num_features, dtype=np.float32)
         self.running_var = np.ones(num_features, dtype=np.float32)
         self._stats_seeded = False
-        self._cache = None
 
     def parameters(self) -> List[Parameter]:
         return [self.gamma, self.beta]
@@ -103,7 +102,7 @@ class BatchNorm(Layer):
         x_hat, inv_std, axes, bshape, count, training = self._require_cache(
             self._cache
         )
-        if not self._param_grads_frozen:
+        if not self.gamma.frozen:
             self.gamma.add_grad((grad * x_hat).sum(axis=axes))
             self.beta.add_grad(grad.sum(axis=axes))
 

@@ -22,7 +22,6 @@ class MaxPool2D(Layer):
         if size < 2:
             raise ShapeError(f"pool size must be >= 2, got {size}")
         self.size = size
-        self._cache = None
 
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape

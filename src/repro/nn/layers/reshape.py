@@ -13,9 +13,6 @@ class Flatten(Layer):
 
     op_name = "Flatten"
 
-    def __init__(self):
-        self._shape = None
-
     def output_shape(self, input_shape: tuple) -> tuple:
         total = 1
         for dim in input_shape:
@@ -25,9 +22,9 @@ class Flatten(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim < 2:
             raise ShapeError(f"expected a batched tensor, got shape {x.shape}")
-        self._shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        shape = self._require_cache(self._shape, "shape")
+        shape = self._require_cache(self._cache, "shape")
         return grad.reshape(shape)

@@ -16,10 +16,13 @@ from .parameter import Parameter
 class Sequential:
     """A straight-line stack of layers.
 
-    ``forward`` feeds the input through every layer (caching intermediates in
-    the layers themselves); ``backward`` walks the stack in reverse and
-    returns the gradient with respect to the network input — which is how the
-    GAN loop pushes the discriminator's verdict back into the generator.
+    ``forward`` feeds the input through every layer.  A training forward
+    leaves each layer's backward cache in place; an eval-mode forward
+    releases each cache as soon as its layer returns, so inference holds no
+    backward state.  ``backward`` walks the stack in reverse after a
+    training forward and returns the gradient with respect to the network
+    input — which is how the GAN loop pushes the discriminator's verdict
+    back into the generator.
 
     Gradient API: :meth:`backward` is the *training-internal* path — it
     accumulates parameter gradients as a side effect and assumes the cached
@@ -60,12 +63,15 @@ class Sequential:
         return x
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self._walk(
-            x, lambda layer, out: layer.forward(out, training=training))
+        if training:
+            return self._walk(
+                x, lambda layer, out: layer.forward(out, training=True))
+        return self._walk(x, _released(lambda layer, out: layer.forward(out)))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         """Training-internal backward: accumulates parameter gradients.
 
+        Reads the caches of the preceding ``forward(x, training=True)``.
         External gradient consumers should call :meth:`input_gradient`.
         """
         return self._walk(grad, lambda layer, g: layer.backward(g),
@@ -78,24 +84,25 @@ class Sequential:
     ) -> np.ndarray:
         """Gradient of an objective with respect to the network input.
 
-        Runs a fresh eval-mode :meth:`forward` (normalization layers use
-        their running statistics and update nothing; dropout is off), then
-        walks the stack in reverse through each layer's
-        ``input_gradient``, which never accumulates parameter gradients.
-        An attached profiler records the two walks as forward and backward.
+        Runs a fresh eval-mode forward that keeps each layer's cache
+        (normalization layers use their running statistics and update
+        nothing; dropout is off), then walks the stack in reverse through
+        each layer's ``input_gradient``, releasing each cache once its layer
+        is done.  An attached profiler records the two walks as forward and
+        backward.
 
         ``grad_out`` is either the gradient of the objective at the network
         output, or a callable mapping the forward output to that gradient —
         the callable form lets a caller compute its loss from the same
         forward pass instead of paying for a second one.
 
-        The method verifies the no-training-side-effects contract: if any
-        parameter gradient changed during the walk, it raises
-        :class:`~repro.errors.TrainingError` naming the parameter, so a
-        layer that forgets to honor the frozen flag fails loudly instead of
-        silently corrupting the next optimizer step.
+        Parameter gradients are checked where they are written: each
+        layer's ``input_gradient`` marks its parameters frozen, and a layer
+        that adds a gradient anyway raises
+        :class:`~repro.errors.TrainingError` naming the parameter, so it
+        fails loudly instead of silently corrupting the next optimizer step.
         """
-        out = self.forward(x)
+        out = self._walk(x, lambda layer, h: layer.forward(h))
         grad = grad_out(out) if callable(grad_out) else grad_out
         grad = np.asarray(grad)
         if grad.shape != out.shape:
@@ -103,18 +110,9 @@ class Sequential:
                 f"grad_out shape {grad.shape} does not match network "
                 f"output shape {out.shape}"
             )
-        params = self.parameters()
-        before = [param.grad.copy() for param in params]
-        grad = self._walk(grad, lambda layer, g: layer.input_gradient(g),
-                          reverse=True)
-        for param, prev in zip(params, before):
-            if not np.array_equal(param.grad, prev):
-                raise TrainingError(
-                    f"input_gradient touched parameter gradient "
-                    f"{param.name!r}; the inference gradient path must "
-                    "leave optimizer state untouched"
-                )
-        return grad
+        return self._walk(
+            grad, _released(lambda layer, g: layer.input_gradient(g)),
+            reverse=True)
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -200,8 +198,10 @@ class Sequential:
                         f"{key}: shape {value.shape} does not match "
                         f"{param.value.shape}"
                     )
-                param.value = value.astype(np.float32).copy()
-                param.zero_grad()
+                # astype copies; a fresh zeros buffer stays unwritten
+                # until a backward needs it, unlike zero_grad's fill
+                param.value = value.astype(np.float32)
+                param.grad = np.zeros(value.shape, np.float32)
             if hasattr(layer, "running_mean"):
                 for stat in ("running_mean", "running_var"):
                     if f"layer{i}.{stat}" not in state:
@@ -250,6 +250,17 @@ class Sequential:
             self.load_state_dict(state)
         except ShapeError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _released(step: Callable) -> Callable:
+    """``step`` followed by dropping the layer's backward cache."""
+
+    def run(layer: Layer, x: np.ndarray) -> np.ndarray:
+        out = step(layer, x)
+        layer._cache = None
+        return out
+
+    return run
 
 
 def _hwc(shape: Tuple[int, ...]) -> Tuple[int, ...]:

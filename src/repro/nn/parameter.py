@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, TrainingError
 
 
 class Parameter:
@@ -16,16 +16,23 @@ class Parameter:
     ``grad`` (so gradients from multiple forward passes accumulate, which the
     GAN training loop relies on), and optimizers read ``grad`` then call
     :meth:`zero_grad`.
+
+    ``grad`` starts as a fresh ``np.zeros`` buffer, whose pages the OS maps
+    only when a backward first writes them, so a model built or loaded for
+    inference never pays for its gradients.  ``frozen`` is set while an
+    inference gradient query walks the owning layer; :meth:`add_grad` then
+    raises instead of touching optimizer state.
     """
 
-    __slots__ = ("name", "value", "grad", "trainable")
+    __slots__ = ("name", "value", "grad", "trainable", "frozen")
 
     def __init__(self, value: np.ndarray, name: str = "param",
                  trainable: bool = True):
         self.value = np.asarray(value, dtype=np.float32)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape, np.float32)
         self.name = name
         self.trainable = trainable
+        self.frozen = False
 
     @property
     def shape(self):
@@ -39,6 +46,11 @@ class Parameter:
         self.grad.fill(0.0)
 
     def add_grad(self, grad: np.ndarray) -> None:
+        if self.frozen:
+            raise TrainingError(
+                f"gradient added to frozen parameter {self.name!r}; the "
+                "inference gradient path must leave optimizer state untouched"
+            )
         if grad.shape != self.value.shape:
             raise ShapeError(
                 f"gradient shape {grad.shape} does not match parameter "

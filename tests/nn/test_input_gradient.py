@@ -247,6 +247,17 @@ class TestSequentialInputGradient:
         with pytest.raises(TrainingError, match="rogue.s"):
             net.input_gradient(x, np.ones_like(x))
 
+    def test_rogue_layer_is_unfrozen_after_it_fails(self):
+        layer = _RogueLayer()
+        x = np.full((2, 3), 2.0, dtype=np.float32)
+        layer.forward(x)
+        with pytest.raises(TrainingError, match="rogue.s"):
+            layer.input_gradient(np.ones_like(x))
+        assert not layer.scale.grad.any()
+        assert not layer.scale.frozen
+        layer.backward(np.ones_like(x))
+        np.testing.assert_array_equal(layer.scale.grad, [12.0])
+
     def test_shape_mismatch_rejected(self, rng):
         net = self._net(rng)
         x = rng.normal(size=(2, 2, 8, 8)).astype(np.float32)
