@@ -26,12 +26,12 @@ and the training loops consult it at every batch boundary:
   :meth:`FaultPlan.degrade_output`) blanks the generator's output for
   scheduled clip indices, so serving drills can prove the output guards and
   the fallback ladder fire — deterministically, per clip.
-* **Serving-loop stall injection** (:meth:`FaultPlan.inject_slow_batch`,
-  :meth:`FaultPlan.inject_slow_every`, :meth:`FaultPlan.inject_wedge`)
-  delays or wedges the continuous-batching executor at exact forward-batch
-  indices, so soak drills can prove latency degrades gracefully under slow
-  workers and that the watchdog converts a hung executor into typed
-  answers for every pending request, never a hang.
+* **Serving-loop stall injection** (:meth:`FaultPlan.inject_slow_every`,
+  :meth:`FaultPlan.inject_wedge`) delays every n-th forward batch of the
+  continuous-batching executor or wedges it at an exact batch index, so
+  soak drills can prove latency degrades gracefully under slow workers and
+  that the watchdog converts a hung executor into typed answers for every
+  pending request, never a hang.
 * **Worker-crash injection** (:meth:`FaultPlan.inject_worker_crash`) kills
   a scheduled parallel shard's worker hard (``os._exit`` in a child
   process), so fan-out drills can prove crash containment: the parent must
@@ -66,7 +66,6 @@ class FaultPlan:
         self._interrupt: Dict[_Site, bool] = {}
         self._degenerate: Dict[int, bool] = {}
         self._worker_crash: Dict[int, bool] = {}
-        self._slow_batches: Dict[int, Tuple[float, bool]] = {}
         self._slow_every: Tuple[int, float] = (0, 0.0)
         self._wedge: Dict[int, float] = {}
         #: chronological record of fired faults: (kind, phase, epoch, batch)
@@ -92,22 +91,6 @@ class FaultPlan:
                          repeat: bool = False) -> "FaultPlan":
         """Raise ``KeyboardInterrupt`` (a simulated kill) at the given site."""
         self._interrupt[self._site(phase, epoch, batch)] = repeat
-        return self
-
-    def inject_random_nans(self, phase: str, *, epochs: int,
-                           batches_per_epoch: int,
-                           count: int = 1) -> "FaultPlan":
-        """Schedule ``count`` NaN faults at seed-determined distinct sites."""
-        total = epochs * batches_per_epoch
-        if count > total:
-            raise ConfigError(
-                f"cannot place {count} faults in {total} batch slots"
-            )
-        slots = self._rng.choice(total, size=count, replace=False)
-        for slot in np.sort(slots):
-            epoch = 1 + int(slot) // batches_per_epoch
-            batch = int(slot) % batches_per_epoch
-            self.inject_nan(phase, epoch, batch)
         return self
 
     def inject_degenerate(self, clip: int, repeat: bool = False) -> "FaultPlan":
@@ -153,26 +136,13 @@ class FaultPlan:
         self._worker_crash[int(shard)] = repeat
         return self
 
-    def inject_slow_batch(self, batch: int, seconds: float,
-                          repeat: bool = False) -> "FaultPlan":
-        """Delay serving-loop forward batch index ``batch`` by ``seconds``.
-
-        Models a slow worker: the batch still completes and every request
-        is answered, but latency (and queue depth behind it) spikes.  The
-        serving loop consumes the delay via :meth:`batch_delay`.
-        """
-        if batch < 0:
-            raise ConfigError(f"fault batch index must be >= 0, got {batch}")
-        if seconds < 0:
-            raise ConfigError(f"fault delay must be >= 0, got {seconds}")
-        self._slow_batches[int(batch)] = (float(seconds), repeat)
-        return self
-
     def inject_slow_every(self, every: int, seconds: float) -> "FaultPlan":
         """Delay every ``every``-th serving-loop batch by ``seconds``.
 
-        The recurring form of :meth:`inject_slow_batch`, used by the soak
-        harness to model a fleet with a persistent slow worker.
+        Models a fleet with a persistent slow worker: each delayed batch
+        still completes and every request is answered, but latency (and
+        queue depth behind it) spikes.  The serving loop consumes the delay
+        via :meth:`batch_delay`.
         """
         if every < 1:
             raise ConfigError(f"fault period must be >= 1, got {every}")
@@ -202,7 +172,7 @@ class FaultPlan:
         """Number of scheduled faults that have not fired yet."""
         return (len(self._nan) + len(self._interrupt)
                 + len(self._degenerate) + len(self._worker_crash)
-                + len(self._slow_batches) + len(self._wedge))
+                + len(self._wedge))
 
     # -- runtime hooks (called by the training loops) ------------------------
 
@@ -245,19 +215,12 @@ class FaultPlan:
         return np.zeros_like(np.asarray(array, dtype=np.float32))
 
     def batch_delay(self, batch: int) -> float:
-        """Consume and return the slow-batch delay for ``batch`` (0.0 if none).
+        """Return the slow-batch delay for ``batch`` (0.0 if none).
 
-        One-shot sites win over the recurring ``inject_slow_every``
-        schedule; recurring delays fire on every multiple of the period
+        Delays fire on every multiple of the ``inject_slow_every`` period
         (batch 0 included, so ramp starts are exercised too).
         """
         batch = int(batch)
-        if batch in self._slow_batches:
-            seconds, repeat = self._slow_batches[batch]
-            if not repeat:
-                del self._slow_batches[batch]
-            self.fired.append(("slow_batch", "serve", batch, 0))
-            return seconds
         every, seconds = self._slow_every
         if every > 0 and batch % every == 0:
             self.fired.append(("slow_batch", "serve", batch, 0))

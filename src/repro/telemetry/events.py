@@ -2,11 +2,14 @@
 
 :data:`EVENTS` is the one place an event is defined.  Each :class:`Event`
 row gives the event's name, a one-line description, its required fields
-with their checks, and its metric side effects.  Everything else reads the
-table: producers call ``hook.emit(event, **fields)``
+with their checks, its metric side effects, and what it adds to
+``repro report``.  Everything else reads the table: producers call
+``hook.emit(event, **fields)``
 (:class:`~repro.telemetry.hooks.TelemetryHook`), the
 :class:`~repro.telemetry.hooks.RunLoggerHook` bridge writes the line and
-applies the metrics, and :func:`validate_run_log` checks the fields.
+applies the metrics, :func:`validate_run_log` checks the fields, and
+:func:`~repro.telemetry.report.build_report` checks them too before it
+applies the report tallies.
 
 A :class:`RunLogger` appends one JSON object per line to a log file, flushing
 after every event so a killed run still leaves a readable prefix.  Events are
@@ -50,6 +53,10 @@ BREAKER_TRANSITIONS = (
 
 Check = Callable[[Any], bool]
 MetricEffect = Callable[[MetricsRegistry, Mapping[str, Any]], None]
+#: ``repro report``'s sections, ``{section: {key: tally}}``
+Sections = Dict[str, Dict[str, Any]]
+#: adds one checked record to the report's sections
+ReportTally = Callable[[Sections, Mapping[str, Any]], None]
 
 
 # -- field checks -------------------------------------------------------------
@@ -156,6 +163,55 @@ def _trial_outcome(registry: MetricsRegistry,
         registry.counter(f"sweep_trials_{fields['status']}_total").inc()
 
 
+# -- report tallies -----------------------------------------------------------
+
+def _tally(section: str, key: str,
+           amount: Optional[str] = None) -> ReportTally:
+    """Add one (or the ``amount`` field) to ``section[key]``."""
+    def tally(report: Sections, fields: Mapping[str, Any]) -> None:
+        report[section][key] += fields[amount] if amount else 1
+    return tally
+
+
+def _tally_by(section: str, key: str, label: str) -> ReportTally:
+    """Count one under the ``label`` field's value in ``section[key]``."""
+    def tally(report: Sections, fields: Mapping[str, Any]) -> None:
+        counts = report[section][key]
+        name = str(fields[label])
+        counts[name] = counts.get(name, 0) + 1
+    return tally
+
+
+def _stage_totals(report: Sections, fields: Mapping[str, Any]) -> None:
+    stats = report["stages"].setdefault(
+        str(fields["stage"]), {"seconds": 0.0, "count": 0})
+    stats["seconds"] += float(fields["seconds"])
+    # a stage_end aggregates count spans of that stage
+    stats["count"] += int(fields.get("count") or 1)
+
+
+def _serving_rollback(report: Sections, fields: Mapping[str, Any]) -> None:
+    if fields["phase"] == "serving":
+        report["serving"]["rollbacks"] += 1
+
+
+def _trial_digest(report: Sections, fields: Mapping[str, Any]) -> None:
+    report["sweep"]["digests"].add(str(fields["digest"]))
+
+
+def _trial_status(report: Sections, fields: Mapping[str, Any]) -> None:
+    report["sweep"][fields["status"]] += 1
+
+
+def _ilt_outcome(report: Sections, fields: Mapping[str, Any]) -> None:
+    ilt = report["ilt"]
+    if fields.get("improved"):
+        ilt["improved"] += 1
+    epe = fields.get("epe_ilt_nm")
+    if isinstance(epe, (int, float)):
+        ilt["epes"].append(float(epe))
+
+
 # -- the table ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -164,7 +220,8 @@ class Event:
 
     ``fields`` maps each required field to its check; ``rule`` (optional)
     checks a record whose fields passed and returns a problem or None.
-    ``metrics`` run on every emit through a registry-backed bridge.
+    ``metrics`` run on every emit through a registry-backed bridge;
+    ``report`` tallies add each checked record to ``repro report``.
     Rows with ``logged=False`` only feed metrics and write no log line.
     """
 
@@ -172,6 +229,7 @@ class Event:
     doc: str
     fields: Mapping[str, Check]
     metrics: Tuple[MetricEffect, ...] = ()
+    report: Tuple[ReportTally, ...] = ()
     rule: Optional[Callable[[Mapping[str, Any]], Optional[str]]] = None
     logged: bool = True
 
@@ -188,16 +246,18 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
           (_inc("checkpoints_total", "phase"),)),
     Event("rollback", "Divergence recovery, a canary or an operator rolled "
           "state back.",
-          {"phase": _given}, (_rollback_counter,)),
+          {"phase": _given}, (_rollback_counter,),
+          report=(_tally("incidents", "rollbacks"), _serving_rollback)),
     Event("stage_end", "Total seconds and span count of one traced stage.",
-          {"stage": _given, "seconds": _seconds}),
+          {"stage": _given, "seconds": _seconds}, report=(_stage_totals,)),
     Event("eval_end", "Evaluation summary: a machine-readable Table 3 row.",
           {}, (_inc("evals_total"),)),
     Event("admission", "Serve-batch admission: admitted, rejected, "
           "sanitized counts.",
           {"admitted": _count, "rejected": _count},
           (_inc("serve_admitted_total", amount="admitted"),
-           _inc("serve_rejected_total", amount="rejected"))),
+           _inc("serve_rejected_total", amount="rejected")),
+          report=(_tally("incidents", "rejected_inputs", amount="rejected"),)),
     Event("clip_served", "One clip was answered: provenance and seconds.",
           {},
           (_inc("serve_clips_total", "provenance"),
@@ -206,56 +266,73 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
     Event("fallback", "A served clip degraded to the simulator; names the "
           "cause.",
           {"clip": _integer, "cause": _given},
-          (_inc("serve_fallbacks_total", "cause"),)),
+          (_inc("serve_fallbacks_total", "cause"),),
+          report=(_tally("incidents", "fallbacks"),)),
     Event("breaker", "A serving slot's circuit breaker changed state.",
           {"slot": _given,
            "from_state": _one_of(*BREAKER_STATES),
            "to_state": _one_of(*BREAKER_STATES)},
           (_breaker_gauge, _inc("serve_breaker_transitions_total",
-                                "slot", "to_state"))),
+                                "slot", "to_state")),
+          report=(_tally("incidents", "breaker_transitions"),)),
     Event("queue_full", "The serving work queue refused a push at capacity.",
           {"depth": _count, "capacity": _count},
           (_inc("serve_queue_full_total"),), rule=_at_capacity),
     Event("shed", "A serving-loop request was refused or evicted.",
           {"request": _integer, "tenant": _given, "reason": _given},
-          (_inc("serve_shed_total", "tenant"),)),
+          (_inc("serve_shed_total", "tenant"),),
+          report=(_tally("incidents", "requests_shed"),
+                  _tally_by("serving", "sheds_by_tenant", "tenant"))),
     Event("queue_depth", "The serving-loop queue depth after a transition.",
           {}, (_set("serve_queue_depth", "depth"),), logged=False),
     Event("model_swap", "A model filled a serving slot (named by slot) at "
           "a batch boundary, or a registry pointer moved (no slot).",
           {"model": _given, "reason": _given},
           (_inc("serve_model_swaps_total", "model"), _active_version,
-           _breaker_gauge)),
+           _breaker_gauge),
+          report=(_tally("serving", "swaps"),)),
     Event("canary_verdict", "A canary or shadow rollout reached a verdict.",
           {"model": _given, "verdict": _one_of(*CANARY_VERDICTS)},
-          (_inc("serve_canary_verdicts_total", "verdict"),)),
+          (_inc("serve_canary_verdicts_total", "verdict"),),
+          report=(_tally_by("serving", "canary_verdicts", "verdict"),)),
     Event("data_quarantine", "A dataset integrity pass quarantined records.",
           {"quarantined": _count, "total": _count},
           (_inc("data_records_quarantined_total", amount="quarantined"),
-           _inc("data_validations_total")), rule=_within_total),
+           _inc("data_validations_total")),
+          report=(_tally("incidents", "records_quarantined",
+                         amount="quarantined"),),
+          rule=_within_total),
     Event("data_repair", "Quarantined records were re-synthesized and "
           "verified.",
           {"repaired": _count},
-          (_inc("data_records_repaired_total", amount="repaired"),)),
+          (_inc("data_records_repaired_total", amount="repaired"),),
+          report=(_tally("incidents", "records_repaired",
+                         amount="repaired"),)),
     Event("worker_crash", "A parallel worker died, timed out, or raised.",
           {"shard": _count},
-          (_inc("parallel_worker_failures_total", "task"),)),
+          (_inc("parallel_worker_failures_total", "task"),),
+          report=(_tally("incidents", "worker_crashes"),)),
     Event("trial_start", "A sweep trial attempt began (attempt is 1-based).",
-          {"digest": _given, "attempt": _positive}),
+          {"digest": _given, "attempt": _positive}, report=(_trial_digest,)),
     Event("trial_retry", "A failed sweep trial attempt will be retried.",
           {"digest": _given, "attempt": _positive, "reason": _given},
-          (_inc("sweep_trials_retried_total", "reason"),)),
+          (_inc("sweep_trials_retried_total", "reason"),),
+          report=(_tally_by("sweep", "retries_by_reason", "reason"),)),
     Event("trial_end", "A sweep trial reached a terminal status.",
           {"digest": _given, "status": _one_of(*TRIAL_STATUSES)},
-          (_trial_outcome,)),
+          (_trial_outcome,), report=(_trial_digest, _trial_status)),
     Event("ilt_start", "An ILT run began: clips and steps per clip.",
-          {"clips": _positive, "steps": _positive}),
+          {"clips": _positive, "steps": _positive},
+          report=(_tally("ilt", "runs"),)),
     Event("ilt_step", "One ILT gradient step and its proxy loss.",
-          {"step": _count}, (_inc("ilt_steps_total"),)),
+          {"step": _count}, (_inc("ilt_steps_total"),),
+          report=(_tally("ilt", "steps"),)),
     Event("ilt_end", "An ILT run finished: verifications and mean EPEs.",
           {"verified": _count},
           (_inc("ilt_verifications_total", amount="verified"),
-           _set("ilt_epe_nm", "epe_ilt_nm"))),
+           _set("ilt_epe_nm", "epe_ilt_nm")),
+          report=(_tally("ilt", "verifications", amount="verified"),
+                  _ilt_outcome)),
     Event("run_end", "Last event of a run: status and total seconds.",
           {"status": _given}),
 )}

@@ -60,12 +60,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -248,13 +242,3 @@ class MetricsRegistry:
     def to_dict(self) -> dict:
         """Schema-versioned export, the ``--metrics-out`` file format."""
         return {"schema_version": 1, "metrics": self.snapshot()}
-
-    def clear(self) -> None:
-        with self._lock:
-            self._families.clear()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._families
-
-    def __len__(self) -> int:
-        return len(self._families)

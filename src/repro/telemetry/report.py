@@ -7,12 +7,17 @@ snapshot, and a layer profile — and folds them into one :class:`RunReport`:
 per-run outcomes, per-stage time breakdown, worker utilization and skew,
 incident counts (fallbacks, quarantines, rollbacks, worker crashes, shed
 requests), a serving-lifecycle summary (model swaps, canary verdicts,
-serving rollbacks, sheds per tenant), and the top hot layers.
+serving rollbacks, sheds per tenant), sweep and ILT summaries, and the top
+hot layers.  What each event adds to those sections is declared by its
+row of :data:`~repro.telemetry.events.EVENTS` (``report`` tallies); the
+log is read in one fold that applies them.
 
-Reading is **fail-closed**: a corrupt input raises
-:class:`~repro.errors.TelemetryError` naming the offending path (the CLI
-maps that to a non-zero exit), but *unknown event types* are tolerated and
-counted — a newer writer must not brick an older reader.
+Reading is **fail-closed**: a corrupt input, or a record of a known event
+type that fails its row's field checks or carries a field the report
+cannot convert, raises :class:`~repro.errors.TelemetryError` naming the
+offending path (the CLI maps that to a non-zero exit), but *unknown event
+types* are tolerated and counted — a newer writer must not brick an older
+reader.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import TelemetryError
-from .events import EVENT_TYPES, read_run_log, split_runs
+from .events import (EVENT_TYPES, EVENTS, Sections, _check_fields,
+                     read_run_log, split_runs)
 from .export import validate_chrome_trace
 from .profile import ProfileReport
 
@@ -89,6 +95,12 @@ class WorkerUsage:
         }
 
 
+def _sorted_section(section: Dict[str, Any]) -> dict:
+    """A section with its keys, and those of its nested counts, sorted."""
+    return {key: dict(sorted(value.items())) if isinstance(value, dict)
+            else value for key, value in sorted(section.items())}
+
+
 @dataclass(frozen=True)
 class RunReport:
     """The correlated health report ``repro report`` renders."""
@@ -139,21 +151,9 @@ class RunReport:
                 "backward_s": self.profile_backward_s,
             },
             "sources": dict(self.sources),
-            "serving": {
-                key: (dict(sorted(value.items()))
-                      if isinstance(value, dict) else value)
-                for key, value in sorted(self.serving.items())
-            },
-            "sweep": {
-                key: (dict(sorted(value.items()))
-                      if isinstance(value, dict) else value)
-                for key, value in sorted(self.sweep.items())
-            },
-            "ilt": {
-                key: (dict(sorted(value.items()))
-                      if isinstance(value, dict) else value)
-                for key, value in sorted(self.ilt.items())
-            },
+            "serving": _sorted_section(self.serving),
+            "sweep": _sorted_section(self.sweep),
+            "ilt": _sorted_section(self.ilt),
         }
 
     def format_text(self) -> str:
@@ -285,36 +285,43 @@ def _load_json(path: Union[str, Path], what: str) -> Any:
 
 
 def _summarize_runs(runs: List[List[dict]],
-                    ) -> Tuple[List[RunSummary], Dict, Dict, Dict, Dict,
-                               Dict, int]:
+                    ) -> Tuple[List[RunSummary], Sections, int]:
+    """Fold every record into run summaries and the report's sections.
+
+    A known record must pass its :data:`EVENTS` row's field checks, and
+    then adds what the row's ``report`` tallies declare; records of any
+    other type are only counted.
+    """
     summaries: List[RunSummary] = []
-    stages: Dict[str, Dict[str, float]] = {}
-    incidents = {
-        "fallbacks": 0, "breaker_transitions": 0, "rollbacks": 0,
-        "worker_crashes": 0, "records_quarantined": 0,
-        "records_repaired": 0, "rejected_inputs": 0, "requests_shed": 0,
+    # sweep digests and ILT EPEs are collected, then counted and averaged
+    sections: Sections = {
+        "stages": {},
+        "incidents": {
+            "fallbacks": 0, "breaker_transitions": 0, "rollbacks": 0,
+            "worker_crashes": 0, "records_quarantined": 0,
+            "records_repaired": 0, "rejected_inputs": 0, "requests_shed": 0,
+        },
+        "serving": {
+            "swaps": 0,
+            "rollbacks": 0,
+            "canary_verdicts": {"promote": 0, "rollback": 0},
+            "sheds_by_tenant": {},
+        },
+        "sweep": {
+            "digests": set(),
+            "completed": 0,
+            "failed": 0,
+            "interrupted": 0,
+            "retries_by_reason": {},
+        },
+        "ilt": {
+            "runs": 0,
+            "steps": 0,
+            "verifications": 0,
+            "improved": 0,
+            "epes": [],
+        },
     }
-    serving: Dict[str, Any] = {
-        "swaps": 0,
-        "rollbacks": 0,
-        "canary_verdicts": {"promote": 0, "rollback": 0},
-        "sheds_by_tenant": {},
-    }
-    sweep: Dict[str, Any] = {
-        "trials": 0,
-        "completed": 0,
-        "failed": 0,
-        "interrupted": 0,
-        "retries_by_reason": {},
-    }
-    sweep_digests: set = set()
-    ilt: Dict[str, Any] = {
-        "runs": 0,
-        "steps": 0,
-        "verifications": 0,
-        "improved": 0,
-    }
-    ilt_epes: List[float] = []
     unknown = 0
     for events in runs:
         first = events[0]
@@ -324,72 +331,17 @@ def _summarize_runs(runs: List[List[dict]],
         if first.get("event") != "run_start":
             # tail of an earlier truncated run: no run_start to anchor it
             command, status = "?", "orphaned"
-        for record in events:
+        for index, record in enumerate(events):
             event = record.get("event")
             if event not in EVENT_TYPES:
                 unknown += 1
                 continue
-            if event == "stage_end":
-                name = str(record.get("stage", "?"))
-                stats = stages.setdefault(
-                    name, {"seconds": 0.0, "count": 0})
-                stats["seconds"] += float(record.get("seconds") or 0.0)
-                # a stage_end aggregates count spans of that stage
-                stats["count"] += int(record.get("count") or 1)
-            elif event == "fallback":
-                incidents["fallbacks"] += 1
-            elif event == "breaker":
-                incidents["breaker_transitions"] += 1
-            elif event == "rollback":
-                incidents["rollbacks"] += 1
-                if record.get("phase") == "serving":
-                    serving["rollbacks"] += 1
-            elif event == "model_swap":
-                serving["swaps"] += 1
-            elif event == "canary_verdict":
-                verdict = str(record.get("verdict", "?"))
-                verdicts = serving["canary_verdicts"]
-                verdicts[verdict] = verdicts.get(verdict, 0) + 1
-            elif event == "shed":
-                incidents["requests_shed"] += 1
-                tenant = str(record.get("tenant", "?"))
-                sheds = serving["sheds_by_tenant"]
-                sheds[tenant] = sheds.get(tenant, 0) + 1
-            elif event == "worker_crash":
-                incidents["worker_crashes"] += 1
-            elif event == "trial_start":
-                sweep_digests.add(str(record.get("digest", "?")))
-            elif event == "trial_retry":
-                reason = str(record.get("reason", "?"))
-                retries = sweep["retries_by_reason"]
-                retries[reason] = retries.get(reason, 0) + 1
-            elif event == "trial_end":
-                sweep_digests.add(str(record.get("digest", "?")))
-                trial_status = str(record.get("status", "?"))
-                if trial_status in sweep:
-                    sweep[trial_status] += 1
-            elif event == "ilt_start":
-                ilt["runs"] += 1
-            elif event == "ilt_step":
-                ilt["steps"] += 1
-            elif event == "ilt_end":
-                ilt["verifications"] += int(record.get("verified") or 0)
-                if record.get("improved"):
-                    ilt["improved"] += 1
-                epe = record.get("epe_ilt_nm")
-                if isinstance(epe, (int, float)):
-                    ilt_epes.append(float(epe))
-            elif event == "data_quarantine":
-                incidents["records_quarantined"] += int(
-                    record.get("quarantined") or 0)
-            elif event == "data_repair":
-                incidents["records_repaired"] += int(
-                    record.get("repaired") or 0)
-            elif event == "admission":
-                incidents["rejected_inputs"] += int(
-                    record.get("rejected") or 0)
-            elif event == "run_end":
-                status = str(record.get("status", "ok"))
+            row = EVENTS[event]
+            _check_fields(row, record, index)
+            for tally in row.report:
+                tally(sections, record)
+            if event == "run_end":
+                status = str(record["status"])
                 seconds = float(record.get("seconds") or 0.0)
         summaries.append(RunSummary(
             run_id=str(first.get("run_id", "?")),
@@ -399,10 +351,12 @@ def _summarize_runs(runs: List[List[dict]],
             events=len(events),
             build=dict(first.get("build") or {}),
         ))
-    sweep["trials"] = len(sweep_digests)
-    if ilt_epes:
-        ilt["epe_ilt_nm"] = sum(ilt_epes) / len(ilt_epes)
-    return summaries, stages, incidents, serving, sweep, ilt, unknown
+    sweep, ilt = sections["sweep"], sections["ilt"]
+    sweep["trials"] = len(sweep.pop("digests"))
+    epes = ilt.pop("epes")
+    if epes:
+        ilt["epe_ilt_nm"] = sum(epes) / len(epes)
+    return summaries, sections, unknown
 
 
 def _worker_usage(trace: dict) -> Tuple[List[WorkerUsage], float]:
@@ -457,8 +411,13 @@ def build_report(log_path: Union[str, Path], *,
     events = read_run_log(log_path)
     if not events:
         raise TelemetryError(f"run log {log_path} contains no events")
-    (summaries, stages, incidents, serving, sweep, ilt,
-     unknown) = _summarize_runs(split_runs(events))
+    try:
+        summaries, sections, unknown = _summarize_runs(split_runs(events))
+    except (TelemetryError, TypeError, ValueError) as exc:
+        # a required field failed its row's check, or an optional one the
+        # report converts (run_start build, stage_end count, run_end
+        # seconds) has the wrong type
+        raise TelemetryError(f"invalid run log {log_path}: {exc}") from exc
     sources = {"log": str(log_path)}
 
     workers: List[WorkerUsage] = []
@@ -493,8 +452,6 @@ def build_report(log_path: Union[str, Path], *,
 
     return RunReport(
         runs=tuple(summaries),
-        stages=stages,
-        incidents=incidents,
         unknown_events=unknown,
         workers=tuple(workers),
         worker_skew=skew,
@@ -503,7 +460,5 @@ def build_report(log_path: Union[str, Path], *,
         profile_forward_s=forward_s,
         profile_backward_s=backward_s,
         sources=sources,
-        serving=serving,
-        sweep=sweep,
-        ilt=ilt,
+        **sections,
     )

@@ -52,24 +52,6 @@ class TestScheduling:
         with pytest.raises(ConfigError):
             FaultPlan().inject_interrupt("p", 1, batch=-1)
 
-    def test_random_sites_are_seed_deterministic(self):
-        a = FaultPlan(seed=11).inject_random_nans(
-            "p", epochs=4, batches_per_epoch=5, count=3
-        )
-        b = FaultPlan(seed=11).inject_random_nans(
-            "p", epochs=4, batches_per_epoch=5, count=3
-        )
-        assert a._nan.keys() == b._nan.keys()
-        assert len(a._nan) == 3
-        for _, epoch, batch in a._nan:
-            assert 1 <= epoch <= 4 and 0 <= batch < 5
-
-    def test_random_sites_overflow_rejected(self):
-        with pytest.raises(ConfigError, match="slots"):
-            FaultPlan().inject_random_nans(
-                "p", epochs=1, batches_per_epoch=2, count=3
-            )
-
 
 class TestRecordDamage:
     @pytest.fixture()

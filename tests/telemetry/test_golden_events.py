@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.telemetry import MetricsRegistry, RunLogger, RunLoggerHook
-from repro.telemetry import read_run_log
+from repro.telemetry import EVENT_TYPES, MetricsRegistry, RunLogger
+from repro.telemetry import RunLoggerHook, read_run_log
 
 GOLDEN = json.loads(
     (Path(__file__).with_name("golden_events.json")).read_text())
@@ -171,3 +171,11 @@ def test_emit_reproduces_the_recorded_events(entry, tmp_path):
 
 def test_every_recorded_entry_is_driven():
     assert [entry["call"] for entry in GOLDEN] == list(CALLS)
+
+
+def test_recorded_events_cover_every_logged_event_type():
+    # so TestGoldenLog in test_report.py pins what every row adds to the
+    # report: a new logged row needs a golden record first
+    recorded = {record["event"] for entry in GOLDEN
+                for record in entry["records"]}
+    assert set(EVENT_TYPES) <= recorded

@@ -79,7 +79,7 @@ class TestRunLoggerHook:
         hook = RunLoggerHook(registry=registry)
         hook.on_epoch_end(1, 1.0, 2.0, 0.3, 0.25)
         hook.emit("run_end", status="ok")
-        assert "train_epochs_total" in registry
+        assert "train_epochs_total" in registry.snapshot()
 
     def test_logger_only_bridge_needs_no_registry(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -95,6 +95,24 @@ class TestBuildReport:
         with pytest.raises(TelemetryError, match=str(log)):
             build_report(log)
 
+    @pytest.mark.parametrize("event, fields, problem", [
+        ("trial_end", {"digest": "d1", "status": "retries_by_reason"},
+         "trial_end 1 has bad status 'retries_by_reason'"),
+        ("stage_end", {"stage": "optical", "seconds": "fast"},
+         "stage_end 1 has bad seconds 'fast'"),
+        # optional fields the report reads fail closed too
+        ("run_end", {"status": "ok", "seconds": "fast"}, "'fast'"),
+    ], ids=["trial_end-status", "stage_end-seconds", "run_end-seconds"])
+    def test_malformed_known_record_fails_closed_naming_path(
+            self, tmp_path, event, fields, problem):
+        log = tmp_path / "run.jsonl"
+        with RunLogger(log) as logger:
+            logger.emit("run_start", command="sweep")
+            logger.emit(event, **fields)
+        with pytest.raises(TelemetryError, match=str(log)) as excinfo:
+            build_report(log)
+        assert problem in str(excinfo.value)
+
     def test_worker_usage_and_skew_from_trace(self, tmp_path):
         log = tmp_path / "run.jsonl"
         _write_good_log(log)

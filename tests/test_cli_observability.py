@@ -181,8 +181,14 @@ class TestReportCommand:
     def test_corrupt_log_exits_nonzero_naming_path(self, workspace, capsys):
         bad = workspace / "bad.jsonl"
         bad.write_text('{"event": "run_start"}\nnot json\n{"seq": 2}\n')
-        assert main(["report", "--log", str(bad)]) == 1
-        assert str(bad) in capsys.readouterr().err
+        # well-formed JSON, but a stage_end whose seconds fail its row check
+        malformed = workspace / "malformed.jsonl"
+        malformed.write_text(
+            '{"event": "run_start"}\n'
+            '{"event": "stage_end", "stage": "optical", "seconds": "fast"}\n')
+        for log in (bad, malformed):
+            assert main(["report", "--log", str(log)]) == 1
+            assert str(log) in capsys.readouterr().err
 
     def test_missing_log_exits_nonzero_naming_path(self, workspace, capsys):
         missing = workspace / "absent.jsonl"
