@@ -70,7 +70,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import tempfile
-import zipfile
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -105,6 +104,7 @@ from .registry import (
     parse_model_ref,
 )
 from .runtime import CheckpointManager, RecoveryPolicy
+from .runtime.atomic import read_npz
 from .sweep import SweepResult, SweepSpec, SweepSupervisor, TrialResult
 from .telemetry.profile import profiled
 from .telemetry.report import RunReport, build_report
@@ -432,7 +432,6 @@ def load_data(path: Union[str, Path],
 
 def train(config: ExperimentConfig, dataset: PairedDataset, *,
           checkpoints: Optional[Union[str, Path, CheckpointManager]] = None,
-          checkpoint_every: int = 1,
           resume: bool = False,
           recovery: Union[bool, RecoveryPolicy, None] = None,
           out: Optional[Union[str, Path]] = None,
@@ -442,7 +441,8 @@ def train(config: ExperimentConfig, dataset: PairedDataset, *,
 
     ``checkpoints`` accepts either a prepared
     :class:`~repro.runtime.CheckpointManager` or a directory path (one is
-    built from ``config.recovery``); ``recovery=True`` likewise builds a
+    built from ``config.recovery``, which also sets the checkpoint cadence);
+    ``recovery=True`` likewise builds a
     :class:`~repro.runtime.RecoveryPolicy` from the config.  ``resume=True``
     restarts bit-exactly from the latest checkpoint.  The split and the
     model share one generator seeded by ``config.training.seed``, so the
@@ -457,12 +457,6 @@ def train(config: ExperimentConfig, dataset: PairedDataset, *,
     rng = np.random.default_rng(config.training.seed)
     train_set, test_set = dataset.split(config.training.train_fraction, rng)
     model = LithoGan(config, rng)
-    manager = checkpoints
-    if isinstance(manager, (str, Path)):
-        rec = config.recovery
-        manager = CheckpointManager(
-            manager, keep_last=rec.keep_last, keep_best=rec.keep_best
-        )
     policy = recovery
     if policy is True:
         policy = RecoveryPolicy(config.recovery)
@@ -471,7 +465,7 @@ def train(config: ExperimentConfig, dataset: PairedDataset, *,
     with _model_profiled(profiler, model):
         history = model.fit(
             train_set, rng, hook=hook, tracer=tracer,
-            checkpoints=manager, checkpoint_every=checkpoint_every,
+            checkpoints=checkpoints,
             resume_from=True if resume else None,
             recovery=policy, faults=faults,
         )
@@ -539,18 +533,9 @@ def load_model(model_dir: Union[str, Path], config: ExperimentConfig, *,
     model.cgan.discriminator.load(model_dir / "discriminator.npz")
     model.center_cnn.load(model_dir / "center_cnn.npz")
     scaling_path = model_dir / "center_scaling.npz"
-    try:
-        with np.load(scaling_path, allow_pickle=False) as data:
-            mean, std = data["mean"], data["std"]
-    except FileNotFoundError:
-        raise CheckpointError(
-            f"weight file not found: {scaling_path}"
-        ) from None
-    except (OSError, ValueError, EOFError, KeyError,
-            zipfile.BadZipFile) as exc:
-        raise CheckpointError(
-            f"unreadable weight file {scaling_path}: {exc}"
-        ) from exc
+    scaling = read_npz(scaling_path, CheckpointError, "weight file")
+    mean = scaling.get("mean", np.empty(0))
+    std = scaling.get("std", np.empty(0))
     if mean.shape != (2,) or std.shape != (2,):
         raise CheckpointError(
             f"{scaling_path}: center scaling must be two (mean, std) pairs, "

@@ -316,6 +316,11 @@ def cmd_train(args) -> int:
     faults = _build_fault_plan(args)
     dataset = _load_dataset_with_policy(args, telemetry)
     config = _config_for(args, len(dataset))
+    if args.checkpoint_every is not None:
+        config = dataclasses.replace(
+            config, recovery=dataclasses.replace(
+                config.recovery, checkpoint_every=args.checkpoint_every),
+        )
     if dataset.image_size != config.model.image_size:
         message = (
             f"dataset resolution {dataset.image_size} does not match "
@@ -331,13 +336,12 @@ def cmd_train(args) -> int:
     print(f"training LithoGAN on {cut} samples, "
           f"{config.training.epochs} epochs ...")
     if args.checkpoint_dir:
-        print(f"checkpointing every {args.checkpoint_every} epoch(s) "
-              f"to {args.checkpoint_dir}"
+        print(f"checkpointing every {config.recovery.checkpoint_every} "
+              f"epoch(s) to {args.checkpoint_dir}"
               + (" (resuming)" if args.resume else ""))
     result = api.train(
         config, dataset,
         checkpoints=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
         resume=args.resume,
         recovery=bool(args.checkpoint_dir),
         out=args.out,
@@ -1206,8 +1210,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write atomic per-epoch training checkpoints under DIR",
     )
     train.add_argument(
-        "--checkpoint-every", dest="checkpoint_every", type=int, default=1,
-        metavar="N", help="checkpoint every N epochs (default: 1)",
+        "--checkpoint-every", dest="checkpoint_every", type=int,
+        default=None, metavar="N",
+        help="checkpoint every N epochs (sets recovery.checkpoint_every; "
+             "default: 1)",
     )
     train.add_argument(
         "--resume", action="store_true",

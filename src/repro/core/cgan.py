@@ -6,12 +6,13 @@ adversarial term plus ``lambda * ||y - G(x, z)||_1``.  Training alternates
 one discriminator step with one generator step per mini-batch, using Adam
 with the paper's hyper-parameters (lr 0.0002, betas (0.5, 0.999),
 lambda 100, batch size 4).  The noise ``z`` enters through decoder dropout,
-as in the pix2pix lineage.
+as in the pix2pix lineage.  The epoch loop around the step — shuffle,
+checkpoints, resume, divergence rollback — is
+:func:`~repro.core.trainer.run_epochs`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -20,19 +21,12 @@ import numpy as np
 from ..config import ModelConfig, TrainingConfig
 from ..errors import TrainingError
 from ..models import build_discriminator, build_generator
-from ..nn import Adam, Sequential, bce_with_logits, l1_loss
-from ..runtime.checkpoint import (
-    CheckpointManager,
-    collect_rngs,
-    extract_extras,
-    load_checkpoint_source,
-    pack_state,
-    unpack_state,
-)
+from ..nn import Adam, bce_with_logits, l1_loss
+from ..runtime.checkpoint import CheckpointManager
 from ..runtime.faults import FaultPlan
 from ..runtime.recovery import RecoveryPolicy
 from ..telemetry.hooks import TelemetryHook
-from .trainer import predict_in_batches
+from .trainer import predict_in_batches, run_epochs
 
 #: phase label used in checkpoints, fault sites, and telemetry events
 CGAN_PHASE = "cgan"
@@ -134,58 +128,7 @@ class CganModel:
             )
         return d_loss, g_gan_loss, l1_value
 
-    # -- checkpointable state -----------------------------------------------
-
-    def _training_rngs(self, rng: np.random.Generator) -> List[np.random.Generator]:
-        """Every RNG the training loop draws from (shuffle + dropout noise)."""
-        return collect_rngs(rng, self.generator, self.discriminator)
-
-    def _pack_training_state(self, history: CganHistory,
-                             rngs, epoch: int):
-        """Detached snapshot of nets, optimizers, RNG streams, and history."""
-        snapshots = {
-            f"snapshot/{snap_epoch}": images
-            for snap_epoch, images in history.snapshots.items()
-        }
-        return pack_state(
-            epoch=epoch, phase=CGAN_PHASE,
-            nets={"generator": self.generator,
-                  "discriminator": self.discriminator},
-            optimizers={"opt_g": self.opt_g, "opt_d": self.opt_d},
-            rngs=rngs,
-            history={
-                "generator_loss": history.generator_loss,
-                "discriminator_loss": history.discriminator_loss,
-                "l1_loss": history.l1_loss,
-                "seconds": history.seconds,
-            },
-            arrays=snapshots,
-        )
-
-    def _restore_training_state(self, payload, meta, history: CganHistory,
-                                rngs) -> int:
-        """Apply a packed snapshot; returns the epoch it was taken at."""
-        epoch = unpack_state(
-            payload, meta,
-            nets={"generator": self.generator,
-                  "discriminator": self.discriminator},
-            optimizers={"opt_g": self.opt_g, "opt_d": self.opt_d},
-            rngs=rngs, expect_phase=CGAN_PHASE,
-        )
-        saved = meta.get("history", {})
-        history.generator_loss[:] = [float(v) for v in saved.get("generator_loss", [])]
-        history.discriminator_loss[:] = [
-            float(v) for v in saved.get("discriminator_loss", [])
-        ]
-        history.l1_loss[:] = [float(v) for v in saved.get("l1_loss", [])]
-        history.seconds[:] = [float(v) for v in saved.get("seconds", [])]
-        history.snapshots.clear()
-        for key, images in extract_extras(payload).items():
-            if key.startswith("snapshot/"):
-                history.snapshots[int(key.split("/", 1)[1])] = images
-        return epoch
-
-    # -- full training loop -------------------------------------------------------
+    # -- training -------------------------------------------------------------------
 
     def fit(self, masks: np.ndarray, resists: np.ndarray,
             rng: np.random.Generator,
@@ -206,125 +149,47 @@ class CganModel:
         l1, seconds)`` fires with the epoch-mean losses after every epoch;
         the default ``hook=None`` adds no per-batch work whatsoever.
 
-        Fault tolerance (all off by default):
-
-        * ``checkpoints`` + ``checkpoint_every`` persist atomic snapshots of
-          generator/discriminator/optimizer/RNG/history state every N epochs
-          (and always at the final epoch).
-        * ``resume_from`` — a checkpoint path, a checkpoint directory, or
-          ``"latest"`` (resolved through ``checkpoints``) — restores a
-          snapshot and continues mid-schedule **bit-exactly**: the resumed
-          run replays the same shuffle and dropout streams an uninterrupted
-          run would have used.
-        * ``recovery`` catches a non-finite-loss :class:`TrainingError`,
-          rolls back to the last completed epoch, backs off the learning
-          rate, and retries within the policy's budget.
-        * ``faults`` injects NaN batches or mid-epoch interrupts at
-          scheduled ``(phase, epoch, batch)`` sites for recovery drills.
+        The fault-tolerance parameters (``checkpoints``,
+        ``checkpoint_every``, ``resume_from``, ``recovery``, ``faults``) are
+        those of :func:`~repro.core.trainer.run_epochs`; the snapshot names
+        its state ``generator``, ``discriminator``, ``opt_g`` and ``opt_d``,
+        and checkpoints rank by the epoch's L1 loss.
         """
-        targets = self.expand_targets(resists)
-        count = masks.shape[0]
-        batch = self.training_config.batch_size
         history = CganHistory()
         snapshot_epochs = set(self.training_config.snapshot_epochs)
-        total = self.training_config.epochs
+        lambda_l1 = self.training_config.lambda_l1
 
-        rngs = None
-        if (checkpoints is not None or resume_from is not None
-                or recovery is not None):
-            rngs = self._training_rngs(rng)
+        def step(batch_masks: np.ndarray, batch_targets: np.ndarray):
+            d_loss, g_gan, l1_value = self.train_step(batch_masks, batch_targets)
+            return {"discriminator_loss": d_loss,
+                    "generator_loss": g_gan + lambda_l1 * l1_value,
+                    "l1_loss": l1_value}
 
-        start_epoch = 1
-        if resume_from is not None:
-            payload, meta = load_checkpoint_source(resume_from, checkpoints)
-            start_epoch = self._restore_training_state(
-                payload, meta, history, rngs
-            ) + 1
-
-        last_good = None
-        if recovery is not None and start_epoch <= total:
-            last_good = self._pack_training_state(
-                history, rngs, epoch=start_epoch - 1
-            )
-
-        epoch = start_epoch
-        while epoch <= total:
-            epoch_start = time.perf_counter()
-            order = rng.permutation(count)
-            d_losses, g_losses, l1_losses = [], [], []
-            try:
-                for batch_index, start in enumerate(range(0, count, batch)):
-                    if faults is not None:
-                        faults.on_batch_start(CGAN_PHASE, epoch, batch_index)
-                    idx = order[start : start + batch]
-                    batch_targets = targets[idx]
-                    if faults is not None:
-                        batch_targets = faults.poison(
-                            CGAN_PHASE, epoch, batch_index, batch_targets
-                        )
-                    try:
-                        d_loss, g_gan, l1_value = self.train_step(
-                            masks[idx], batch_targets
-                        )
-                    except TrainingError as exc:
-                        raise TrainingError(
-                            f"epoch {epoch}, batch {batch_index}: {exc}"
-                        ) from exc
-                    d_losses.append(d_loss)
-                    g_losses.append(
-                        g_gan + self.training_config.lambda_l1 * l1_value
-                    )
-                    l1_losses.append(l1_value)
-            except TrainingError as exc:
-                if recovery is None:
-                    raise
-                recovery.register_failure(exc)  # re-raises once exhausted
-                restored_epoch = self._restore_training_state(
-                    *last_good, history, rngs
-                )
-                new_lr = recovery.apply_backoff((self.opt_g, self.opt_d))
-                recovery.notify_rollback(
-                    hook, phase=CGAN_PHASE, failed_epoch=epoch,
-                    restored_epoch=restored_epoch, learning_rate=new_lr,
-                    reason=str(exc),
-                )
-                epoch = restored_epoch + 1
-                continue
-            epoch_seconds = time.perf_counter() - epoch_start
-            history.discriminator_loss.append(float(np.mean(d_losses)))
-            history.generator_loss.append(float(np.mean(g_losses)))
-            history.l1_loss.append(float(np.mean(l1_losses)))
-            history.seconds.append(epoch_seconds)
+        def on_epoch_end(epoch: int, seconds: float) -> None:
             if hook is not None:
                 hook.on_epoch_end(
                     epoch,
                     history.discriminator_loss[-1],
                     history.generator_loss[-1],
                     history.l1_loss[-1],
-                    epoch_seconds,
+                    seconds,
                 )
             if snapshot_inputs is not None and epoch in snapshot_epochs:
                 history.snapshots[epoch] = self.generate(snapshot_inputs)
-            if recovery is not None:
-                recovery.record_success()
-            due = checkpoints is not None and (
-                epoch % checkpoint_every == 0 or epoch == total
-            )
-            if recovery is not None or due:
-                packed = self._pack_training_state(history, rngs, epoch=epoch)
-                if recovery is not None:
-                    last_good = packed
-                if due:
-                    path = checkpoints.save(
-                        step=epoch, arrays=packed[0], meta=packed[1],
-                        loss=history.l1_loss[-1],
-                    )
-                    if hook is not None:
-                        hook.emit(
-                            "checkpoint", phase=CGAN_PHASE, epoch=epoch,
-                            path=str(path), loss=history.l1_loss[-1],
-                        )
-            epoch += 1
+
+        run_epochs(
+            masks, self.expand_targets(resists), step, history=history,
+            epochs=self.training_config.epochs,
+            batch_size=self.training_config.batch_size, rng=rng,
+            phase=CGAN_PHASE,
+            nets={"generator": self.generator,
+                  "discriminator": self.discriminator},
+            optimizers={"opt_g": self.opt_g, "opt_d": self.opt_d},
+            monitor="l1_loss", on_epoch_end=on_epoch_end,
+            snapshots=history.snapshots, hook=hook, checkpoints=checkpoints,
+            checkpoint_every=checkpoint_every, resume_from=resume_from,
+            recovery=recovery, faults=faults,
+        )
         return history
 
     # -- inference ------------------------------------------------------------------

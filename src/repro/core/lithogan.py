@@ -90,7 +90,6 @@ class LithoGan:
             hook: Optional[TelemetryHook] = None,
             tracer: Optional[Tracer] = None,
             checkpoints: Optional[Union[CheckpointManager, str, Path]] = None,
-            checkpoint_every: Optional[int] = None,
             resume_from: Optional[Union[str, Path, bool]] = None,
             recovery: Optional[RecoveryPolicy] = None,
             faults: Optional[FaultPlan] = None) -> LithoGanHistory:
@@ -105,8 +104,8 @@ class LithoGan:
         default to off and add no per-batch work.
 
         Fault tolerance: ``checkpoints`` (a :class:`CheckpointManager` or a
-        directory) snapshots each phase every ``checkpoint_every`` epochs
-        (default ``config.recovery.checkpoint_every``) under phase-scoped
+        directory) snapshots each phase every
+        ``config.recovery.checkpoint_every`` epochs under phase-scoped
         subdirectories (``cgan/``, ``center-cnn/``).  ``resume_from`` — a
         checkpoint directory, or ``True``/``"latest"`` with ``checkpoints``
         set — continues each phase bit-exactly from its latest snapshot;
@@ -129,8 +128,7 @@ class LithoGan:
                 "LithoGan.fit resume_from requires a checkpoint directory "
                 f"(or checkpoints=); got {resume_from!r}"
             )
-        every = (checkpoint_every if checkpoint_every is not None
-                 else self.config.recovery.checkpoint_every)
+        every = self.config.recovery.checkpoint_every
         cgan_mgr = manager.scoped(CGAN_PHASE) if manager is not None else None
         center_mgr = (manager.scoped(CENTER_PHASE)
                       if manager is not None else None)

@@ -14,9 +14,6 @@ verified remainder.
 
 from __future__ import annotations
 
-import tokenize
-import zipfile
-import zlib
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -29,7 +26,7 @@ from ..config import (
     ExperimentConfig,
 )
 from ..errors import ConfigError, DataError
-from ..runtime.atomic import atomic_write_bytes, serialize_npz
+from ..runtime.atomic import atomic_write_bytes, read_npz, serialize_npz
 from .dataset import PairedDataset
 
 _REQUIRED_KEYS = ("masks", "resists", "centers", "array_types")
@@ -73,33 +70,17 @@ def save_dataset(dataset: PairedDataset, path: Union[str, Path],
 
 
 def _read_archive(path: Path) -> PairedDataset:
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            missing = [key for key in _REQUIRED_KEYS if key not in data.files]
-            if missing:
-                raise DataError(
-                    f"{path} is not a dataset archive (missing {missing})"
-                )
-            tech_name = str(data["tech_name"]) if "tech_name" in data.files else ""
-            return PairedDataset(
-                data["masks"],
-                data["resists"],
-                data["centers"],
-                data["array_types"],
-                tech_name=tech_name,
-            )
-    except DataError:
-        raise
-    except (OSError, ValueError, EOFError, KeyError, IndexError,
-            zipfile.BadZipFile, zlib.error, SyntaxError,
-            tokenize.TokenError) as exc:
-        # SyntaxError/TokenError leak from numpy's .npy header parser when
-        # bit rot lands inside the header dict literal.
-        raise DataError(
-            f"unreadable dataset archive {path}: {exc}"
-        ) from exc
+    arrays = read_npz(path, DataError, "dataset archive")
+    missing = [key for key in _REQUIRED_KEYS if key not in arrays]
+    if missing:
+        raise DataError(f"{path} is not a dataset archive (missing {missing})")
+    return PairedDataset(
+        arrays["masks"],
+        arrays["resists"],
+        arrays["centers"],
+        arrays["array_types"],
+        tech_name=str(arrays.get("tech_name", "")),
+    )
 
 
 def load_dataset(path: Union[str, Path],

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import zipfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -235,17 +234,9 @@ class Sequential:
         naming the offending path (and key, where applicable) — never a raw
         ``KeyError``/``ValueError``.
         """
-        path = Path(path)
-        if not path.exists():
-            raise CheckpointError(f"weight file not found: {path}")
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                state = {key: data[key] for key in data.files}
-        except (OSError, ValueError, EOFError, KeyError,
-                zipfile.BadZipFile) as exc:
-            raise CheckpointError(
-                f"unreadable weight file {path}: {exc}"
-            ) from exc
+        from ..runtime.atomic import read_npz
+
+        state = read_npz(path, CheckpointError, "weight file")
         try:
             self.load_state_dict(state)
         except ShapeError as exc:

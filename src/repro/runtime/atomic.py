@@ -4,6 +4,7 @@ Every durable artifact in the repo (weights, datasets, checkpoints,
 manifests) goes through these helpers so a killed process can never leave a
 truncated or half-written file behind: readers either see the previous
 complete version or the new complete one, never a torn intermediate.
+:func:`read_npz` is the one ``.npz`` reader, and it fails closed.
 """
 
 from __future__ import annotations
@@ -11,15 +12,24 @@ from __future__ import annotations
 import io
 import json
 import os
+import tokenize
 import zipfile
+import zlib
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Type, Union
 
 import numpy as np
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ReproError
 
 PathLike = Union[str, Path]
+
+#: what parsing a damaged ``.npz`` raises: zip and deflate errors, plus
+#: SyntaxError/TokenError from numpy's ``.npy`` header parser when bit rot
+#: lands inside the header dict literal
+_DAMAGED_NPZ = (OSError, ValueError, EOFError, KeyError, IndexError,
+                zipfile.BadZipFile, zlib.error, SyntaxError,
+                tokenize.TokenError)
 
 #: fixed archive-member timestamp (the ZIP epoch) used by
 #: :func:`serialize_npz` so archive bytes depend only on content.
@@ -136,3 +146,22 @@ def atomic_savez(path: PathLike, arrays: Dict[str, np.ndarray],
                 pass
     _fsync_directory(path)
     return path
+
+
+def read_npz(path: PathLike, error: Type[ReproError],
+             what: str) -> Dict[str, np.ndarray]:
+    """Every array of the ``.npz`` archive at ``path``, failing closed.
+
+    A missing file raises ``error("<what> not found: <path>")``; a
+    truncated, bit-rotted or non-archive file raises ``error("unreadable
+    <what> <path>: <cause>")``, never a raw parser exception.  Pickled
+    (object-dtype) members are refused.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return {key: data[key] for key in data.files}
+    except _DAMAGED_NPZ as exc:
+        raise error(f"unreadable {what} {path}: {exc}") from exc

@@ -20,14 +20,13 @@ import copy
 import hashlib
 import json
 import time
-import zipfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import CheckpointError, ShapeError, TrainingError
-from .atomic import atomic_savez, atomic_write_json
+from .atomic import atomic_savez, atomic_write_json, read_npz
 
 #: bump when the checkpoint archive layout changes incompatibly
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -204,17 +203,7 @@ def read_checkpoint(path: PathLike) -> Tuple[Dict[str, np.ndarray],
     files, unreadable/truncated archives, absent metadata, and schema
     version mismatches.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            payload = {key: data[key] for key in data.files}
-    except (OSError, ValueError, EOFError, KeyError,
-            zipfile.BadZipFile) as exc:
-        raise CheckpointError(
-            f"unreadable checkpoint {path}: {exc}"
-        ) from exc
+    payload = read_npz(path, CheckpointError, "checkpoint")
     if META_KEY not in payload:
         raise CheckpointError(
             f"{path} is not a checkpoint archive (missing {META_KEY!r})"
@@ -271,7 +260,7 @@ def _sha256(path: Path) -> str:
 class CheckpointManager:
     """Owns one directory of versioned checkpoints plus its manifest.
 
-    ``save`` writes ``<prefix>-<step>.npz`` atomically, records the file's
+    ``save`` writes ``ckpt-<step>.npz`` atomically, records the file's
     SHA-256 in ``manifest.json`` (also written atomically), and prunes to
     the retention set: the last ``keep_last`` steps plus (with
     ``keep_best``) the lowest-loss step.  ``load`` verifies the manifest
@@ -282,15 +271,12 @@ class CheckpointManager:
     MANIFEST_NAME = "manifest.json"
 
     def __init__(self, directory: PathLike, *, keep_last: int = 3,
-                 keep_best: bool = True, prefix: str = "ckpt") -> None:
+                 keep_best: bool = True) -> None:
         if keep_last < 1:
             raise CheckpointError(f"keep_last must be >= 1, got {keep_last}")
-        if not prefix:
-            raise CheckpointError("checkpoint prefix must be non-empty")
         self.directory = Path(directory)
         self.keep_last = keep_last
         self.keep_best = keep_best
-        self.prefix = prefix
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -305,13 +291,13 @@ class CheckpointManager:
         return self.directory / self.MANIFEST_NAME
 
     def path_for(self, step: int) -> Path:
-        return self.directory / f"{self.prefix}-{int(step):06d}.npz"
+        return self.directory / f"ckpt-{int(step):06d}.npz"
 
     def scoped(self, name: str) -> "CheckpointManager":
         """A sub-manager rooted at ``<directory>/<name>`` (per training phase)."""
         return CheckpointManager(
             self.directory / name, keep_last=self.keep_last,
-            keep_best=self.keep_best, prefix=self.prefix,
+            keep_best=self.keep_best,
         )
 
     # -- manifest ------------------------------------------------------------
@@ -381,7 +367,7 @@ class CheckpointManager:
                     pass
         atomic_write_json(self.manifest_path, {
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
-            "prefix": self.prefix,
+            "prefix": "ckpt",
             "checkpoints": retained,
         })
         return path
@@ -403,12 +389,6 @@ class CheckpointManager:
             f"no checkpoint for step {step} in {self.directory} "
             f"(have {[e.get('step') for e in entries]})"
         )
-
-    def latest_step(self) -> int:
-        return int(self._entry_for(None)["step"])
-
-    def latest_path(self) -> Path:
-        return self.directory / self._entry_for(None)["file"]
 
     def load(self, step: Optional[int] = None
              ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:

@@ -77,6 +77,10 @@ def _seconds(value: Any) -> bool:
     return isinstance(value, (int, float)) and value >= 0
 
 
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float))
+
+
 def _given(value: Any) -> bool:
     return bool(value)
 
@@ -91,6 +95,12 @@ def _within_total(record: Mapping[str, Any]) -> Optional[str]:
     if record["quarantined"] > record["total"]:
         return (f"quarantines {record['quarantined']} of only "
                 f"{record['total']} records")
+    return None
+
+
+def _serving_names_model(record: Mapping[str, Any]) -> Optional[str]:
+    if record["phase"] == "serving" and not record.get("model"):
+        return "rolls back serving without naming its model"
     return None
 
 
@@ -207,9 +217,7 @@ def _ilt_outcome(report: Sections, fields: Mapping[str, Any]) -> None:
     ilt = report["ilt"]
     if fields.get("improved"):
         ilt["improved"] += 1
-    epe = fields.get("epe_ilt_nm")
-    if isinstance(epe, (int, float)):
-        ilt["epes"].append(float(epe))
+    ilt["epes"].append(float(fields["epe_ilt_nm"]))
 
 
 # -- the table ----------------------------------------------------------------
@@ -247,7 +255,8 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
     Event("rollback", "Divergence recovery, a canary or an operator rolled "
           "state back.",
           {"phase": _given}, (_rollback_counter,),
-          report=(_tally("incidents", "rollbacks"), _serving_rollback)),
+          report=(_tally("incidents", "rollbacks"), _serving_rollback),
+          rule=_serving_names_model),
     Event("stage_end", "Total seconds and span count of one traced stage.",
           {"stage": _given, "seconds": _seconds}, report=(_stage_totals,)),
     Event("eval_end", "Evaluation summary: a machine-readable Table 3 row.",
@@ -287,7 +296,7 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
           {}, (_set("serve_queue_depth", "depth"),), logged=False),
     Event("model_swap", "A model filled a serving slot (named by slot) at "
           "a batch boundary, or a registry pointer moved (no slot).",
-          {"model": _given, "reason": _given},
+          {"model": _given, "version": _given, "reason": _given},
           (_inc("serve_model_swaps_total", "model"), _active_version,
            _breaker_gauge),
           report=(_tally("serving", "swaps"),)),
@@ -309,7 +318,7 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
           report=(_tally("incidents", "records_repaired",
                          amount="repaired"),)),
     Event("worker_crash", "A parallel worker died, timed out, or raised.",
-          {"shard": _count},
+          {"shard": _count, "task": _given},
           (_inc("parallel_worker_failures_total", "task"),),
           report=(_tally("incidents", "worker_crashes"),)),
     Event("trial_start", "A sweep trial attempt began (attempt is 1-based).",
@@ -328,7 +337,7 @@ EVENTS: Dict[str, Event] = {row.name: row for row in (
           {"step": _count}, (_inc("ilt_steps_total"),),
           report=(_tally("ilt", "steps"),)),
     Event("ilt_end", "An ILT run finished: verifications and mean EPEs.",
-          {"verified": _count},
+          {"verified": _count, "epe_ilt_nm": _number},
           (_inc("ilt_verifications_total", amount="verified"),
            _set("ilt_epe_nm", "epe_ilt_nm")),
           report=(_tally("ilt", "verifications", amount="verified"),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -28,3 +31,23 @@ def tiny_dataset(tiny_config):
     Tests must treat it as read-only; anything mutating should copy.
     """
     return synthesize_dataset(tiny_config)
+
+
+@pytest.fixture
+def damage_deflate():
+    """Damage the deflate data of an ``.npz``'s first member in place.
+
+    The member's first compressed byte becomes a final block of the
+    reserved type, so inflating it raises ``zlib.error`` while the zip
+    directory and the CRCs still parse.
+    """
+    def damage(path):
+        with zipfile.ZipFile(path) as archive:
+            offset = archive.infolist()[0].header_offset
+        with open(path, "r+b") as handle:
+            handle.seek(offset + 26)  # local header: name and extra lengths
+            name_length, extra_length = struct.unpack("<HH", handle.read(4))
+            handle.seek(offset + 30 + name_length + extra_length)
+            handle.write(b"\x07")
+        return path
+    return damage

@@ -49,6 +49,19 @@ class TestFitRegression:
                 net, x, y, epochs=0, batch_size=2, rng=np.random.default_rng(0)
             )
 
+    def test_zero_checkpoint_cadence_rejected_before_training(self, tmp_path):
+        from repro.runtime import CheckpointManager
+
+        manager = CheckpointManager(tmp_path)
+        x, y = linear_data(8)
+        with pytest.raises(TrainingError, match="checkpoint_every"):
+            fit_regression(
+                make_net(), x, y, epochs=1, batch_size=2,
+                rng=np.random.default_rng(0), checkpoints=manager,
+                checkpoint_every=0,
+            )
+        assert manager.entries() == []
+
     def test_divergence_detected(self):
         net = make_net()
         x, y = linear_data(16)

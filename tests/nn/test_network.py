@@ -124,6 +124,14 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match="unreadable"):
             small_net.load(path)
 
+    def test_load_damaged_deflate_data_fails_closed(self, small_net, tmp_path,
+                                                    damage_deflate):
+        path = tmp_path / "net.npz"
+        small_net.save(path)
+        damage_deflate(path)
+        with pytest.raises(CheckpointError, match="unreadable weight file"):
+            small_net.load(path)
+
     def test_load_non_archive_fails_closed(self, small_net, tmp_path):
         path = tmp_path / "net.npz"
         path.write_bytes(b"this is not an npz archive")

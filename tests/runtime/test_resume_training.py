@@ -77,7 +77,7 @@ class TestCganResume:
                 checkpoints=manager,
                 faults=FaultPlan().inject_interrupt("cgan", 2, batch=1),
             )
-        assert manager.latest_step() == 1  # only epoch 1 completed
+        assert manager.entries()[-1]["step"] == 1  # only epoch 1 completed
 
         resumed = CganModel(gan_config.model, gan_config.training,
                             np.random.default_rng(0))
@@ -91,7 +91,7 @@ class TestCganResume:
             resumed.discriminator.state_dict(),
         )
         assert len(history.l1_loss) == gan_config.training.epochs
-        assert manager.latest_step() == gan_config.training.epochs
+        assert manager.entries()[-1]["step"] == gan_config.training.epochs
 
     def test_resume_restores_history_prefix(self, gan_config, gan_data,
                                             tmp_path):
@@ -128,7 +128,8 @@ class TestCganResume:
                 checkpoints=manager,
                 faults=FaultPlan().inject_interrupt("cgan", 2, batch=0),
             )
-        FaultPlan.corrupt_file(manager.latest_path(), seed=3)
+        FaultPlan.corrupt_file(
+            tmp_path / manager.entries()[-1]["file"], seed=3)
         fresh = CganModel(gan_config.model, gan_config.training,
                           np.random.default_rng(0))
         with pytest.raises(CheckpointError, match="checksum"):
@@ -304,10 +305,28 @@ class TestFacadeFailureSurface:
         # is present under the phase scope, manifest-valid, and loadable
         # for a later resume.
         manager = CheckpointManager(ckpt_dir / "cgan")
-        assert manager.latest_step() == 1
+        assert manager.entries()[-1]["step"] == 1
         payload, meta = manager.load()
         assert meta["step"] == 1
         assert payload
+
+    def test_checkpoint_cadence_comes_from_the_config(self, tmp_path):
+        import dataclasses
+
+        from repro import api
+        from repro.config import RecoveryConfig as RC
+
+        config = tiny(num_clips=8, epochs=3)
+        config = dataclasses.replace(config, recovery=RC(checkpoint_every=2))
+        hook = RecordingHook()
+        api.train(config, api.mint(config).dataset,
+                  checkpoints=tmp_path, hook=hook)
+        # every second epoch, and always the last one
+        assert [epoch for phase, epoch in hook.checkpoints
+                if phase == "cgan"] == [2, 3]
+        steps = [entry["step"]
+                 for entry in CheckpointManager(tmp_path / "cgan").entries()]
+        assert steps == [2, 3]
 
     def test_train_without_recovery_is_immediately_fatal(self, tmp_path):
         from repro import api

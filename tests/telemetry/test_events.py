@@ -198,12 +198,13 @@ class TestValidation:
             logger.emit("run_start", command="serve")
             edge(logger, "incumbent", "closed", "open")
             edge(logger, "candidate", "closed", "open")
-            logger.emit("model_swap", model="litho", reason="swap",
-                        slot="incumbent")
+            logger.emit("model_swap", model="litho", version="1",
+                        reason="swap", slot="incumbent")
             edge(logger, "incumbent", "closed", "open")
             edge(logger, "candidate", "open", "half_open")
             # a registry pointer move names no slot and closes nothing
-            logger.emit("model_swap", model="litho", reason="promote")
+            logger.emit("model_swap", model="litho", version="2",
+                        reason="promote")
             edge(logger, "incumbent", "open", "half_open")
             logger.emit("run_end", status="ok")
         validate_run_log(read_run_log(path))
@@ -223,17 +224,17 @@ MINIMAL = {
                 "to_state": "open"},
     "queue_full": {"depth": 4, "capacity": 4},
     "shed": {"request": 7, "tenant": "opc", "reason": "quota"},
-    "model_swap": {"model": "litho", "reason": "swap"},
+    "model_swap": {"model": "litho", "version": "1", "reason": "swap"},
     "canary_verdict": {"model": "litho", "verdict": "promote"},
     "data_quarantine": {"quarantined": 1, "total": 4},
     "data_repair": {"repaired": 1},
-    "worker_crash": {"shard": 0},
+    "worker_crash": {"shard": 0, "task": "mint"},
     "trial_start": {"digest": "d1", "attempt": 1},
     "trial_retry": {"digest": "d1", "attempt": 1, "reason": "diverged"},
     "trial_end": {"digest": "d1", "status": "completed"},
     "ilt_start": {"clips": 1, "steps": 2},
     "ilt_step": {"step": 0},
-    "ilt_end": {"verified": 3},
+    "ilt_end": {"verified": 3, "epe_ilt_nm": 1.5},
     "run_end": {"status": "ok"},
 }
 
@@ -287,6 +288,16 @@ class TestEventTable:
         events, _ = _run_with("queue_full", {"depth": 3, "capacity": 4})
         with pytest.raises(TelemetryError, match="queue_full 1 .*not full"):
             validate_run_log(events)
+        events, _ = _run_with("rollback", {"phase": "serving"})
+        with pytest.raises(TelemetryError,
+                           match="rollback 1 .*without naming its model"):
+            validate_run_log(events)
+
+    @pytest.mark.parametrize("name", EVENT_TYPES)
+    def test_minimal_record_feeds_its_metrics(self, name):
+        # a record the table accepts must not raise in its metric effects
+        RunLoggerHook(registry=MetricsRegistry()).emit(
+            name, **MINIMAL[name])
 
     def test_metric_only_rows_write_no_line(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -305,6 +305,15 @@ class TestFailClosedWeights:
             capsys, str(damaged_model / "generator.npz"),
         )
 
+    def test_damaged_deflate_weight_file(self, dataset_path, damaged_model,
+                                         damage_deflate, capsys):
+        damage_deflate(damaged_model / "generator.npz")
+        self.assert_fails_closed(
+            ["evaluate", "--dataset", str(dataset_path),
+             "--model", str(damaged_model)],
+            capsys, str(damaged_model / "generator.npz"),
+        )
+
     def test_missing_center_scaling(self, dataset_path, damaged_model,
                                     capsys):
         (damaged_model / "center_scaling.npz").unlink()
@@ -618,6 +627,25 @@ class TestCrashRecovery:
         ])
         assert code == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
+
+    def test_zero_checkpoint_cadence_is_a_one_line_error(
+            self, workspace, dataset_path, capsys):
+        ckpts = workspace / "zero_cadence_ckpts"
+        log = workspace / "zero_cadence.jsonl"
+        code = main([
+            "train", "--dataset", str(dataset_path), "--epochs", "1",
+            "--out", str(workspace / "zero_cadence_model"),
+            "--checkpoint-dir", str(ckpts), "--checkpoint-every", "0",
+            "--log-json", str(log),
+        ])
+        assert code != 0
+        err = capsys.readouterr().err
+        assert "checkpoint_every must be >= 1, got 0" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        events = [record["event"] for record in read_run_log(log)]
+        assert "epoch_end" not in events
+        assert not (ckpts / "cgan" / "manifest.json").exists()
 
     def test_interrupt_then_resume_completes(self, workspace, dataset_path,
                                              capsys):
