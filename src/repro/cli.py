@@ -309,10 +309,13 @@ def _build_fault_plan(args):
 
 def cmd_train(args) -> int:
     telemetry = args.telemetry
-    if args.resume and not args.checkpoint_dir:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        telemetry.finish(status="error", error="--resume without --checkpoint-dir")
-        return 2
+    for flag, given in (("--resume", args.resume),
+                        ("--checkpoint-every", args.checkpoint_every is not None)):
+        if given and not args.checkpoint_dir:
+            print(f"error: {flag} requires --checkpoint-dir", file=sys.stderr)
+            telemetry.finish(status="error",
+                             error=f"{flag} without --checkpoint-dir")
+            return 2
     faults = _build_fault_plan(args)
     dataset = _load_dataset_with_policy(args, telemetry)
     config = _config_for(args, len(dataset))
@@ -1212,8 +1215,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--checkpoint-every", dest="checkpoint_every", type=int,
         default=None, metavar="N",
-        help="checkpoint every N epochs (sets recovery.checkpoint_every; "
-             "default: 1)",
+        help="checkpoint every N epochs under --checkpoint-dir (sets "
+             "recovery.checkpoint_every; default: 1)",
     )
     train.add_argument(
         "--resume", action="store_true",

@@ -19,15 +19,15 @@ context features during target correction.  Each step:
 
 The proxy never gets the final word: candidates are periodically projected
 and re-simulated through the rigorous pipeline, and only the best *verified*
-candidate is reported.  ``theta`` is initialized from the rule-OPC mask, so
-the very first verified candidate is (numerically) the rule-OPC solution
-and a verified result can only improve on it.
+candidate is reported.  ``theta`` is initialized from the rule-OPC mask, and
+the step-0 candidate is the rule-OPC verification itself, so a verified
+result can only improve on it.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -229,7 +229,10 @@ def optimize_clip(
         return verifier.verify(candidate, clip, step=step)
 
     losses: List[float] = []
-    candidates: List[Verification] = [verify_candidate(0, steep0)]
+    # theta's step-0 projection is the rule-OPC mask clipped to _INIT_EPS,
+    # which can verify worse than the mask itself; the rule-OPC
+    # verification stands in for it, so the best never loses to rule OPC
+    candidates: List[Verification] = [replace(rule_opc, step=0)]
     for step in range(ilt.steps):
         steepness = steepness_at(step, ilt.steps, ilt.steepness_start,
                                  ilt.steepness_end)

@@ -27,7 +27,10 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x > 0
-        return np.where(self._cache, x, 0.0).astype(np.float32, copy=False)
+        # fmax maps NaN and -0.0 to +0.0, as a select on the mask does,
+        # without a branch per element; numpy's float64 loop keeps -0.0
+        # on some strides, so the max runs in the float32 it returns
+        return np.fmax(x, 0, dtype=np.float32)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         mask = self._require_cache(self._cache, "mask")
@@ -50,11 +53,22 @@ class LeakyReLU(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x > 0
-        return np.where(self._cache, x, self.slope * x).astype(np.float32, copy=False)
+        if self.slope:
+            # for 0 < slope < 1, max(x, slope * x) is x where x > 0 and
+            # slope * x elsewhere, NaN, signed zeros and infinities
+            # included: the select without a branch per element
+            out = self.slope * x
+            np.maximum(x, out, out=out)
+        else:
+            # 0 * inf is NaN, so max(x, 0 * x) would lose +inf
+            out = x * self._cache
+        return out.astype(np.float32, copy=False)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         mask = self._require_cache(self._cache, "mask")
-        return np.where(mask, grad, self.slope * grad)
+        factor = np.take(np.array([self.slope, 1], grad.dtype),
+                         mask.view(np.uint8))
+        return np.multiply(grad, factor, out=factor)
 
 
 class Sigmoid(Layer):

@@ -90,10 +90,10 @@ class BatchNorm(Layer):
             var = self.running_var
 
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
-        out = self.gamma.value.reshape(bshape) * x_hat + self.beta.value.reshape(
-            bshape
-        )
+        x_hat = x - mean.reshape(bshape)
+        x_hat *= inv_std.reshape(bshape)
+        out = x_hat * self.gamma.value.reshape(bshape)
+        out += self.beta.value.reshape(bshape)
         count = x.size // self.num_features
         self._cache = (x_hat, inv_std, axes, bshape, count, training)
         return out.astype(np.float32, copy=False)

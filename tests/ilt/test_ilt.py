@@ -19,7 +19,8 @@ from repro.ilt import (
     steepness_at,
     steepness_profile,
 )
-from repro.layout import generate_clips
+from repro.layout import build_mask_layout, generate_clips
+from repro.layout.coloring import render_mask_rgb
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,24 @@ class _NeverPrints:
                             edges_nm=None, mask=np.asarray(mask_rgb))
 
 
+class _RuleOpcWins:
+    """Verifier stub: the rule-OPC mask verifies 11.5 nm, every other 12.
+
+    The rule-OPC mask is recognized by its bytes, so the stub does not
+    depend on the order of the calls.
+    """
+
+    def __init__(self, config, clip):
+        self.rule_opc = render_mask_rgb(
+            build_mask_layout(clip), config.model.image_size)
+
+    def verify(self, mask_rgb, clip, step=-1):
+        mask = np.asarray(mask_rgb, dtype=np.float32)
+        epe = 11.5 if np.array_equal(mask, self.rule_opc) else 12.0
+        return Verification(step=step, printed=True, epe_nm=epe,
+                            edges_nm=(epe,) * 4, mask=mask)
+
+
 class TestOptimizeClip:
     def test_outcome_invariants(self, ilt_config, trained, clip):
         outcome = optimize_clip(ilt_config, trained, clip)
@@ -159,6 +178,17 @@ class TestOptimizeClip:
         np.testing.assert_array_equal(first.best.mask, second.best.mask)
         assert first.proxy_losses == second.proxy_losses
 
+    def test_best_never_loses_to_rule_opc(self, ilt_config, trained, clip):
+        """The step-0 candidate is the rule-OPC verification, not theta's
+        projection: that projection clips the rule-OPC rendering to
+        [1e-3, 1 - 1e-3] and can verify worse than the mask itself."""
+        outcome = optimize_clip(ilt_config, trained, clip,
+                                verifier=_RuleOpcWins(ilt_config, clip))
+        assert outcome.epe_rule_opc_nm == 11.5
+        assert outcome.epe_ilt_nm <= outcome.epe_rule_opc_nm
+        assert outcome.best.step == 0
+        assert [c.step for c in outcome.verifications] == [0, 2, 4]
+
     def test_never_printing_verifier_raises(self, ilt_config, trained, clip):
         with pytest.raises(IltError) as excinfo:
             optimize_clip(ilt_config, trained, clip,
@@ -176,8 +206,9 @@ class TestOptimizeClip:
                                               clip):
         verifier = MaskVerifier(ilt_config)
         optimize_clip(ilt_config, trained, clip, verifier=verifier)
-        # 2 baselines + 3 candidate projections
-        assert verifier.verifications == 5
+        # 2 baselines + the projections after steps 2 and 4; the step-0
+        # candidate reuses the rule-OPC verification
+        assert verifier.verifications == 4
 
 
 class TestOptimizeMaskFacade:

@@ -24,6 +24,40 @@ def rng():
     return np.random.default_rng(7)
 
 
+def _specials(dtype):
+    """The values a select and a branch-free kernel may disagree on: NaN
+    of either sign, signed zeros, infinities and subnormals."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    return np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny,
+                     -tiny, 1e4 * tiny, -1e4 * tiny], dtype=dtype)
+
+
+def _with_specials(rng, shape, dtype=np.float32):
+    """Random normals with every special value at four random places."""
+    values = rng.normal(size=shape).astype(dtype)
+    flat = values.reshape(-1)
+    specials = _specials(dtype)
+    places = rng.choice(flat.size, size=4 * specials.size, replace=False)
+    flat[places] = np.tile(specials, 4)
+    return values
+
+
+#: views of a (2, 3, 7, 9) array: numpy runs a ufunc through a vector loop
+#: on contiguous data and a scalar loop on odd tails and strides, and the
+#: two may treat signed zeros differently
+_LAYOUTS = {
+    "contiguous": lambda a: a,
+    "strided": lambda a: a[:, :, ::2, 1:],
+    "transposed": lambda a: a.transpose(0, 1, 3, 2),
+}
+
+
+def _same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
 class TestConv2D:
     def test_same_stride2_halves(self, rng):
         conv = Conv2D(3, 8, 5, 2, rng)
@@ -122,6 +156,57 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             BatchNorm(2).forward(np.zeros((2, 2, 2), dtype=np.float32))
 
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("layout",
+                             ["contiguous", "strided", "transposed", "dense"])
+    def test_same_bytes_as_four_temporary_batchnorm(self, layout, training,
+                                                    grad_dtype):
+        """Forward, backward and input_gradient match the reference bytes.
+
+        :class:`_FourTemporaryBatchNorm` is the forward as it was before it
+        worked in place.  Channel 0 carries the special values, so in
+        training mode its batch statistics are NaN; the other channels
+        hold random normals.  ``dense`` is a (64, 3) input.
+        """
+        rng = np.random.default_rng(10 + training)
+        shape = (64, 3) if layout == "dense" else (2, 3, 7, 9)
+        x = rng.normal(size=shape).astype(np.float32)
+        x[:, 0] = _with_specials(rng, x[:, 0].shape)
+        grad = _with_specials(rng, shape, grad_dtype)
+        if layout != "dense":
+            x, grad = _LAYOUTS[layout](x), _LAYOUTS[layout](grad)
+        gamma, beta, mean = rng.normal(size=(3, 3)).astype(np.float32)
+        var = rng.random(3).astype(np.float32) + 0.5
+        bn, reference = BatchNorm(3), _FourTemporaryBatchNorm(3)
+        for layer in (bn, reference):
+            layer.gamma.value, layer.beta.value = gamma.copy(), beta.copy()
+            layer.running_mean, layer.running_var = mean.copy(), var.copy()
+        with np.errstate(invalid="ignore"):
+            _same_bytes(bn.forward(x, training),
+                        reference.forward(x, training))
+            for stat in ("running_mean", "running_var"):
+                _same_bytes(getattr(bn, stat), getattr(reference, stat))
+            _same_bytes(bn.input_gradient(grad),
+                        reference.input_gradient(grad))
+            _same_bytes(bn.backward(grad), reference.backward(grad))
+            for name in ("gamma", "beta"):
+                _same_bytes(getattr(bn, name).grad,
+                            getattr(reference, name).grad)
+
+
+#: ReLU (None) and LeakyReLU at the slopes the byte tests cover
+_SLOPES = pytest.mark.parametrize(
+    "slope", [None, 0.0, 0.01, 0.2],
+    ids=["relu", "leaky0", "leaky0.01", "leaky0.2"])
+
+
+def _layer_and_select(slope):
+    """The activation under test and its ``np.where`` reference."""
+    if slope is None:
+        return ReLU(), _SelectReLU()
+    return LeakyReLU(slope), _SelectLeakyReLU(slope)
+
 
 class TestActivations:
     def test_relu(self):
@@ -135,6 +220,49 @@ class TestActivations:
     def test_leaky_slope_validation(self):
         with pytest.raises(ShapeError):
             LeakyReLU(1.5)
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    @_SLOPES
+    def test_same_bytes_as_select(self, slope, x_dtype, grad_dtype, layout):
+        """Forward, backward and input_gradient match the reference bytes.
+
+        :class:`_SelectReLU` and :class:`_SelectLeakyReLU` are the layers as
+        they were when they selected with ``np.where``; the branch-free
+        kernels must give the same bytes on NaN of either sign, signed
+        zeros, infinities, subnormals and random normals, in every layout.
+        """
+        rng = np.random.default_rng(11)
+        view = _LAYOUTS[layout]
+        x = view(_with_specials(rng, (2, 3, 7, 9), x_dtype))
+        grad = view(_with_specials(rng, (2, 3, 7, 9), grad_dtype))
+        layer, expected = _layer_and_select(slope)
+        with np.errstate(invalid="ignore"):
+            _same_bytes(layer.forward(x), expected.forward(x))
+            _same_bytes(layer.backward(grad), expected.backward(grad))
+            _same_bytes(layer.input_gradient(grad),
+                        expected.input_gradient(grad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @_SLOPES
+    def test_same_bytes_as_select_at_every_offset(self, slope, dtype):
+        """The forward matches the reference bytes on every short slice.
+
+        Where a slice starts decides which of its elements numpy's scalar
+        head and tail loops see, and numpy's float64 ``fmax`` keeps -0.0
+        there; slices of a buffer filled with one special value, from 16
+        start offsets, 23 lengths and 2 strides, put it in every loop.
+        """
+        layer, expected = _layer_and_select(slope)
+        with np.errstate(invalid="ignore"):
+            for fill in _specials(dtype)[[1, 3, 7]]:  # -NaN, -0.0, -tiny
+                buffer = np.full(64, fill, dtype)
+                for start in range(16):
+                    for length in range(1, 24):
+                        for step in (1, 2):
+                            x = buffer[start:start + length * step:step]
+                            _same_bytes(layer.forward(x), expected.forward(x))
 
     def test_sigmoid_range(self):
         out = Sigmoid().forward(np.array([[-100.0, 0.0, 100.0]], dtype=np.float32))
@@ -222,17 +350,11 @@ class TestMaxPool2D:
                 np.round(x[:, :, ::size, ::size]), size, axis=2), size, axis=3)
         grad = rng.normal(size=(batch, 3, 4, 6)).astype(np.float32)
         pool, reference = MaxPool2D(size), _MaskOnForwardPool(size)
-
-        def same(actual, expected):
-            assert actual.dtype == expected.dtype
-            assert actual.shape == expected.shape
-            assert actual.tobytes() == expected.tobytes()
-
         expected_out = reference.forward(x)
         expected_grad = reference.backward(grad)
-        same(pool.forward(x, training), expected_out)
-        same(pool.backward(grad), expected_grad)
-        same(pool.input_gradient(grad), expected_grad)
+        _same_bytes(pool.forward(x, training), expected_out)
+        _same_bytes(pool.backward(grad), expected_grad)
+        _same_bytes(pool.input_gradient(grad), expected_grad)
 
 
 class _MaskOnForwardPool:
@@ -256,6 +378,55 @@ class _MaskOnForwardPool:
         mask, (n, c, h, w) = self._cache
         grad_windows = grad[:, :, :, None, :, None] * mask
         return grad_windows.reshape(n, c, h, w)
+
+
+class _SelectReLU(ReLU):
+    """Reference: ReLU whose forward selected with ``np.where``."""
+
+    def forward(self, x, training=False):
+        self._cache = x > 0
+        return np.where(self._cache, x, 0.0).astype(np.float32, copy=False)
+
+
+class _SelectLeakyReLU(LeakyReLU):
+    """Reference: LeakyReLU whose forward and backward used ``np.where``."""
+
+    def forward(self, x, training=False):
+        self._cache = x > 0
+        return np.where(self._cache, x, self.slope * x).astype(
+            np.float32, copy=False)
+
+    def backward(self, grad):
+        return np.where(self._cache, grad, self.slope * grad)
+
+
+class _FourTemporaryBatchNorm(BatchNorm):
+    """Reference: BatchNorm whose forward allocated four temporaries."""
+
+    def forward(self, x, training=False):
+        axes, bshape = self._axes_and_shape(x)
+        if training:
+            mean, var = x.mean(axis=axes), x.var(axis=axes)
+            if not self._stats_seeded:
+                self.running_mean = mean.astype(np.float32)
+                self.running_var = var.astype(np.float32)
+                self._stats_seeded = True
+            else:
+                self.running_mean = (
+                    self.momentum * self.running_mean
+                    + (1 - self.momentum) * mean).astype(np.float32)
+                self.running_var = (
+                    self.momentum * self.running_var
+                    + (1 - self.momentum) * var).astype(np.float32)
+        else:
+            mean, var = self.running_mean, self.running_var
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
+        out = (self.gamma.value.reshape(bshape) * x_hat
+               + self.beta.value.reshape(bshape))
+        count = x.size // self.num_features
+        self._cache = (x_hat, inv_std, axes, bshape, count, training)
+        return out.astype(np.float32, copy=False)
 
 
 class TestFlatten:

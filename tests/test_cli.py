@@ -647,6 +647,23 @@ class TestCrashRecovery:
         assert "epoch_end" not in events
         assert not (ckpts / "cgan" / "manifest.json").exists()
 
+    def test_checkpoint_every_without_checkpoint_dir_is_an_error(
+            self, workspace, dataset_path, capsys):
+        out = workspace / "cadence_without_dir_model"
+        log = workspace / "cadence_without_dir.jsonl"
+        code = main([
+            "train", "--dataset", str(dataset_path), "--epochs", "1",
+            "--out", str(out), "--checkpoint-every", "2",
+            "--log-json", str(log),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: --checkpoint-every requires --checkpoint-dir"]
+        events = [record["event"] for record in read_run_log(log)]
+        assert "epoch_end" not in events
+        assert not out.exists()
+
     def test_interrupt_then_resume_completes(self, workspace, dataset_path,
                                              capsys):
         out = workspace / "recovered_model"
